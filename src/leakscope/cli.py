@@ -32,25 +32,41 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _write_rows(path: Path, header: list[str], prefixes: list[list], cells) -> bool:
+    """Write one row per prefix: the prefix, `cells(*prefix)` and an empty
+    error column. A row whose cells raise NoRootError or ValueError keeps
+    its prefix, is blank up to the error column and carries the message
+    there. Returns whether any row succeeded."""
+    rows = []
+    any_ok = False
+    for prefix in prefixes:
+        try:
+            rows.append(prefix + cells(*prefix) + [None])
+            any_ok = True
+        except (NoRootError, ValueError) as exc:
+            rows.append(prefix + [None] * (len(header) - len(prefix) - 1) + [str(exc)])
+    _write_csv(path, header, rows)
+    return any_ok
+
+
+def _boundary_prefixes(sc: Scenario) -> list[list]:
+    return [
+        [idx, h_in, h_out, h_in - h_out] for idx, (h_in, h_out) in enumerate(sc.boundary)
+    ]
+
+
 def _cmd_simulate(sc: Scenario, out: Path, args) -> int:
     header = [
         "index", "h_in", "h_out", "dh", "q_in", "q_out",
         "h_leak", "q_leak", "q_in_k", "q_out_k", "error",
     ]
-    rows = []
-    any_ok = False
-    for idx, (h_in, h_out) in enumerate(sc.boundary):
-        try:
-            state = solve_leaky_state(sc.pipes, sc.leak, h_in, h_out)
-            d = measure(state, sc.pipes, sc.leak)
-            rows.append([
-                idx, d.h_in, d.h_out, d.dh, d.q_in, d.q_out,
-                state.h_leak, state.q_leak, state.q_in_k, state.q_out_k, None,
-            ])
-            any_ok = True
-        except (NoRootError, ValueError) as exc:
-            rows.append([idx, h_in, h_out, h_in - h_out] + [None] * 6 + [str(exc)])
-    _write_csv(out / "simulate.csv", header, rows)
+
+    def cells(idx, h_in, h_out, dh):
+        state = solve_leaky_state(sc.pipes, sc.leak, h_in, h_out)
+        d = measure(state, sc.pipes, sc.leak)
+        return [d.q_in, d.q_out, state.h_leak, state.q_leak, state.q_in_k, state.q_out_k]
+
+    any_ok = _write_rows(out / "simulate.csv", header, _boundary_prefixes(sc), cells)
     return 0 if any_ok or not sc.boundary else 1
 
 
@@ -59,20 +75,12 @@ def _cmd_candidates(sc: Scenario, out: Path, args) -> int:
     header = ["index", "h_in", "h_out", "dh", "q_in", "q_out"] + [
         f"x_{j}" for j in range(1, n + 1)
     ] + ["error"]
-    rows = []
-    any_ok = False
-    result = sweep(sc.pipes, sc.leak, list(sc.boundary))
-    for idx, d in enumerate(result.points):
-        if d is None:
-            h_in, h_out = sc.boundary[idx]
-            rows.append([idx, h_in, h_out, h_in - h_out] + [None] * (n + 2)
-                        + [result.errors[idx]])
-            continue
-        cands = localization.all_candidates(sc.pipes, d)
-        rows.append([idx, d.h_in, d.h_out, d.dh, d.q_in, d.q_out]
-                    + [c.x_j for c in cands] + [None])
-        any_ok = True
-    _write_csv(out / "candidates.csv", header, rows)
+
+    def cells(idx, h_in, h_out, dh):
+        d = measure(solve_leaky_state(sc.pipes, sc.leak, h_in, h_out), sc.pipes, sc.leak)
+        return [d.q_in, d.q_out] + [c.x_j for c in localization.all_candidates(sc.pipes, d)]
+
+    any_ok = _write_rows(out / "candidates.csv", header, _boundary_prefixes(sc), cells)
     return 0 if any_ok or not sc.boundary else 1
 
 
@@ -98,21 +106,15 @@ def _cmd_residual_sweep(sc: Scenario, out: Path, args) -> int:
     header = ["dh", "h_in", "h_out", "q_in", "q_out"] + [
         f"rbar_{j}" for j in range(1, n + 1)
     ] + ["error"]
-    rows = []
-    any_ok = False
-    for dh in _dh_grid(sc):
-        try:
-            state = solve_leaky_state(sc.pipes, sc.leak, h_out + dh, h_out)
-            d = measure(state, sc.pipes, sc.leak)
-            rbars = [
-                localization.residual_bar(sc.pipes, j, frozen[j], d)
-                for j in range(1, n + 1)
-            ]
-            rows.append([dh, d.h_in, d.h_out, d.q_in, d.q_out] + rbars + [None])
-            any_ok = True
-        except (NoRootError, ValueError) as exc:
-            rows.append([dh, h_out + dh, h_out] + [None] * (n + 2) + [str(exc)])
-    _write_csv(out / "residual_sweep.csv", header, rows)
+
+    def cells(dh, h_in, h_out):
+        d = measure(solve_leaky_state(sc.pipes, sc.leak, h_in, h_out), sc.pipes, sc.leak)
+        return [d.q_in, d.q_out] + [
+            localization.residual_bar(sc.pipes, j, frozen[j], d) for j in range(1, n + 1)
+        ]
+
+    prefixes = [[dh, h_out + dh, h_out] for dh in _dh_grid(sc)]
+    any_ok = _write_rows(out / "residual_sweep.csv", header, prefixes, cells)
     return 0 if any_ok else 1
 
 

@@ -1,9 +1,10 @@
 """Pipe head loss laws and admittance sums over a set of parallel pipes.
 
 All loss laws are odd, strictly increasing bijections of the real line,
-so the inverse exists everywhere. Closed-form inverses are used for every
-supported law; `rootfind.solve_monotone` is the fallback for laws without
-one.
+so the inverse exists everywhere, and every law inverts in closed form.
+There are two law classes: `PowerLaw` and `QuadraticPlusLinear`. `Linear`
+and `SignedQuadratic` are constructors for the power laws with gamma = 1
+and gamma = 2, so equal laws compare equal however they are spelled.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .rootfind import solve_monotone
-
 
 class UnboundedDerivativeError(ValueError):
     """The loss law has no finite derivative at the requested flow."""
@@ -21,17 +20,11 @@ class UnboundedDerivativeError(ValueError):
 
 @dataclass(frozen=True)
 class HeadLossFn:
-    """Base class for odd, strictly increasing flow -> head-loss laws."""
+    """Base class for odd, strictly increasing flow -> head-loss laws.
 
-    def evaluate(self, q: float) -> float:
-        raise NotImplementedError
-
-    def invert(self, h: float) -> float:
-        # generic bracketed fallback; subclasses override with closed forms
-        return solve_monotone(lambda q: self.evaluate(q) - h, -1.0, 1.0, xtol=1e-12)
-
-    def derivative(self, q: float) -> float:
-        raise NotImplementedError
+    Each law provides `evaluate`, a closed-form `invert`, `derivative` and
+    `shape_key`.
+    """
 
     def zero_flow_resistance(self) -> float:
         """Slope at q=0 (the no-leak, no-flow resistance)."""
@@ -40,59 +33,10 @@ class HeadLossFn:
     def is_linear(self) -> bool:
         return False
 
-    def shape_key(self) -> tuple:
-        """Canonical shape identifier; two laws with equal keys are
-        proportional to each other (differ by a positive constant)."""
-        raise NotImplementedError
 
-
-@dataclass(frozen=True)
-class Linear(HeadLossFn):
-    """U(q) = R q."""
-
-    R: float
-
-    def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError(f"R must be positive, got {self.R}")
-
-    def evaluate(self, q: float) -> float:
-        return self.R * q
-
-    def invert(self, h: float) -> float:
-        return h / self.R
-
-    def derivative(self, q: float) -> float:
-        return self.R
-
-    def is_linear(self) -> bool:
-        return True
-
-    def shape_key(self) -> tuple:
-        return ("power", 1.0)
-
-
-@dataclass(frozen=True)
-class SignedQuadratic(HeadLossFn):
-    """U(q) = c |q| q."""
-
-    c: float
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
-
-    def evaluate(self, q: float) -> float:
-        return self.c * abs(q) * q
-
-    def invert(self, h: float) -> float:
-        return math.copysign(math.sqrt(abs(h) / self.c), h)
-
-    def derivative(self, q: float) -> float:
-        return 2.0 * self.c * abs(q)
-
-    def shape_key(self) -> tuple:
-        return ("power", 2.0)
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +46,7 @@ class QuadraticPlusLinear(HeadLossFn):
     c: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        _check_positive("c", self.c)
 
     def evaluate(self, q: float) -> float:
         return self.c * (q * abs(q) + q)
@@ -123,22 +66,34 @@ class QuadraticPlusLinear(HeadLossFn):
 
 @dataclass(frozen=True)
 class PowerLaw(HeadLossFn):
-    """U(q) = c sign(q) |q|^gamma."""
+    """U(q) = c sign(q) |q|^gamma.
+
+    gamma = 2 and gamma = 1 take the closed forms c |q| q, sqrt and c q,
+    h / c rather than the general power, which rounds differently.
+    """
 
     c: float
     gamma: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        _check_positive("c", self.c)
+        _check_positive("gamma", self.gamma)
 
     def evaluate(self, q: float) -> float:
-        return math.copysign(self.c * abs(q) ** self.gamma, q)
+        gamma = self.gamma
+        if gamma == 2.0:
+            return self.c * abs(q) * q
+        if gamma == 1.0:
+            return self.c * q
+        return math.copysign(self.c * abs(q) ** gamma, q)
 
     def invert(self, h: float) -> float:
-        return math.copysign((abs(h) / self.c) ** (1.0 / self.gamma), h)
+        gamma = self.gamma
+        if gamma == 2.0:
+            return math.copysign(math.sqrt(abs(h) / self.c), h)
+        if gamma == 1.0:
+            return h / self.c
+        return math.copysign((abs(h) / self.c) ** (1.0 / gamma), h)
 
     def derivative(self, q: float) -> float:
         if q == 0.0:
@@ -156,6 +111,16 @@ class PowerLaw(HeadLossFn):
 
     def shape_key(self) -> tuple:
         return ("power", self.gamma)
+
+
+def Linear(R: float) -> PowerLaw:
+    """U(q) = R q, the power law with gamma = 1."""
+    return PowerLaw(R, 1.0)
+
+
+def SignedQuadratic(c: float) -> PowerLaw:
+    """U(q) = c |q| q, the power law with gamma = 2."""
+    return PowerLaw(c, 2.0)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,8 @@ otherwise hopeless all-linear case).
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
-
-import numpy as np
 
 from .headloss import PipeSet
 from .hydraulics import DataPoint
@@ -38,9 +37,10 @@ def isolate_by_consistency(
     pipes: PipeSet, data: list[DataPoint], eps_spread: float = 1e-6
 ) -> IsolationVerdict:
     """The leaking pipe is the one whose candidate position stays put."""
-    if len(data) < 2:
+    distinct = len(set(data))
+    if distinct < 2:
         raise TooFewPointsError(
-            f"need at least 2 data points to isolate, got {len(data)}"
+            f"need at least 2 distinct data points to isolate, got {distinct}"
         )
     for d in data:
         if d.q_in == d.q_out:
@@ -108,35 +108,40 @@ class LeakFitResult:
 
 
 def fit_leak_function(
-    samples: list[tuple[float, float]], h_y: float = 0.0, eps_fit: float = 1e-6
+    samples: list[tuple[float, float]],
+    h_y: float = 0.0,
+    eps_fit: float = 1e-6,
+    *,
+    j: int = 0,
 ) -> LeakFitResult:
     """Least-squares power-law fit q = C (h - h_y)^beta in log-log space.
 
     Samples with non-positive pressure head are physically unreasonable
-    (outflow against no pressure) and cause outright rejection.
+    (outflow against no pressure) and cause outright rejection. `j` is the
+    pipe the result is recorded for.
     """
     if len(samples) < 3:
         raise ValueError(f"need at least 3 samples, got {len(samples)}")
-    heads = np.array([h for h, _ in samples], dtype=float)
-    flows = np.array([q for _, q in samples], dtype=float)
-    if len(set(flows.tolist())) < 3:
+    if len({q for _, q in samples}) < 3:
         raise ValueError("need at least 3 distinct leak flows")
-    if np.any(heads - h_y <= 0.0):
+    if any(h - h_y <= 0.0 for h, _ in samples):
         return LeakFitResult(
-            j=0, C_j=math.nan, beta_j=math.nan, rmse=math.inf,
+            j=j, C_j=math.nan, beta_j=math.nan, rmse=math.inf,
             negative_head=True, accepted=False,
         )
-    log_h = np.log(heads - h_y)
-    if np.ptp(log_h) == 0.0:
+    if any(q <= 0.0 for _, q in samples):
+        raise ValueError("leak flows must be positive for a log-log fit")
+    log_h = [math.log(h - h_y) for h, _ in samples]
+    if max(log_h) == min(log_h):
         raise ValueError("zero variance in log pressure head; fit is degenerate")
-    log_q = np.log(flows)
-    A = np.column_stack([np.ones_like(log_h), log_h])
-    (log_C, beta), *_ = np.linalg.lstsq(A, log_q, rcond=None)
-    C, beta = math.exp(log_C), float(beta)
-    pred = C * (heads - h_y) ** beta
-    rmse = float(np.sqrt(np.mean((flows - pred) ** 2)))
+    log_q = [math.log(q) for _, q in samples]
+    beta, log_C = statistics.linear_regression(log_h, log_q)
+    C = math.exp(log_C)
+    rmse = math.sqrt(
+        statistics.fmean((q - C * (h - h_y) ** beta) ** 2 for h, q in samples)
+    )
     return LeakFitResult(
-        j=0, C_j=C, beta_j=beta, rmse=rmse,
+        j=j, C_j=C, beta_j=beta, rmse=rmse,
         negative_head=False, accepted=rmse <= eps_fit,
     )
 
@@ -163,11 +168,5 @@ def isolate_by_leak_fit(
         samples = [
             (apparent_leak_head(pipes, j, x_j, d), apparent_leak_flow(d)) for d in data
         ]
-        fit = fit_leak_function(samples, h_y=hy_j, eps_fit=eps_fit)
-        results.append(
-            LeakFitResult(
-                j=j, C_j=fit.C_j, beta_j=fit.beta_j, rmse=fit.rmse,
-                negative_head=fit.negative_head, accepted=fit.accepted,
-            )
-        )
+        results.append(fit_leak_function(samples, h_y=hy_j, eps_fit=eps_fit, j=j))
     return sorted(results, key=lambda r: (r.negative_head, r.rmse, r.j))

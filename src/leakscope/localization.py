@@ -104,16 +104,6 @@ def estimate_outflow(
     return U_j.invert(head_out) + G
 
 
-def estimate_inflow(
-    pipes: PipeSet, j: int, x_j: float, dh: float, q_out: float
-) -> float:
-    """Inflow implied by (dh, q_out) under the hypothesis (j, x_j)."""
-    U_j = pipes.pipe(j)
-    G = pipes.admittance_excluding(j, dh)
-    head_in = dh / x_j - ((1.0 - x_j) / x_j) * U_j.evaluate(q_out - G)
-    return U_j.invert(head_in) + G
-
-
 def residual_bar(pipes: PipeSet, j: int, x_j: float, d: DataPoint) -> float:
     """Flow-space residual: measured minus estimated outflow."""
     return d.q_out - estimate_outflow(pipes, j, x_j, d.dh, d.q_in)
@@ -134,7 +124,8 @@ def complete_data_point(
         q_out = estimate_outflow(pipes, j, x_j, p.h_in - p.h_out, p.q_in)
         return DataPoint(p.h_in, p.h_out, p.q_in, q_out)
     if missing == "q_in":
-        q_in = estimate_inflow(pipes, j, x_j, p.h_in - p.h_out, p.q_out)
+        # the same residual read from the outlet end: x_j -> 1 - x_j, q_in <-> q_out
+        q_in = estimate_outflow(pipes, j, 1.0 - x_j, p.h_in - p.h_out, p.q_out)
         return DataPoint(p.h_in, p.h_out, q_in, p.q_out)
 
     if missing == "h_in":

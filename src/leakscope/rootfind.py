@@ -62,15 +62,3 @@ def bisect(
             hi = mid
     return 0.5 * (lo + hi)
 
-
-def solve_monotone(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    xtol: float = 1e-13,
-    max_expand: int = 60,
-    max_iter: int = 200,
-) -> float:
-    """Root of a monotone f, expanding the initial bracket as needed."""
-    lo, hi, _, _ = expand_bracket(f, lo, hi, max_expand=max_expand)
-    return bisect(f, lo, hi, xtol=xtol, max_iter=max_iter)

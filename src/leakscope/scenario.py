@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,9 +44,12 @@ _PIPE_TYPES = {
 }
 
 
-def _parse_pipe(obj: dict, path: str, problems: list[str]) -> HeadLossFn | None:
+def _parse_pipe(obj, path: str, problems: list[str]) -> HeadLossFn | None:
+    if not isinstance(obj, dict):
+        problems.append(f"{path}: expected an object, got {obj!r}")
+        return None
     kind = obj.get("type")
-    if kind not in _PIPE_TYPES:
+    if not isinstance(kind, str) or kind not in _PIPE_TYPES:
         problems.append(f"{path}.type: unknown head loss type {kind!r}")
         return None
     cls, fields = _PIPE_TYPES[kind]
@@ -54,12 +58,17 @@ def _parse_pipe(obj: dict, path: str, problems: list[str]) -> HeadLossFn | None:
         if name not in obj:
             problems.append(f"{path}.{name}: missing")
             return None
-        kwargs[name] = float(obj[name])
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        problems.append(f"{path}: {exc}")
-        return None
+        try:
+            value = float(obj[name])
+        except (TypeError, ValueError):
+            value = math.nan
+        if not (math.isfinite(value) and value > 0):
+            problems.append(
+                f"{path}.{name}: expected a positive finite number, got {obj[name]!r}"
+            )
+            return None
+        kwargs[name] = value
+    return cls(**kwargs)
 
 
 def _parse_leak_fn(obj: dict, path: str, problems: list[str]) -> LeakFn | None:

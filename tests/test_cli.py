@@ -72,6 +72,27 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="line"):
             parse_scenario(path)
 
+    @pytest.mark.parametrize(
+        "pipe,path",
+        [
+            ({"type": "signed_quadratic", "c": "abc"}, "pipes[0].c"),
+            (3, "pipes[0]"),
+            ({"type": "signed_quadratic", "c": float("nan")}, "pipes[0].c"),
+            ({"type": ["linear"], "R": 0.1}, "pipes[0].type"),
+        ],
+        ids=["non-numeric", "non-object", "nan", "list-type"],
+    )
+    def test_bad_pipe_named(self, tmp_path, capsys, pipe, path):
+        doc = json.loads(bundled_scenario("example1").read_text())
+        doc["pipes"][0] = pipe
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(bad)
+        assert any(p.startswith(path + ":") for p in err.value.problems)
+        assert run("simulate", bad, tmp_path / "out") == 2
+        assert f"error: {path}:" in capsys.readouterr().err
+
     def test_cli_exit_code_on_bad_scenario(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}")

@@ -68,7 +68,8 @@ def test_cli_matches_reference(tmp_path, name, command):
     expected = sorted(f.name for f in reference.glob("*.csv"))
     assert expected, f"no reference CSVs in {reference}"
 
-    code = cli_main([command, "--scenario", str(bundled_scenario(name)), "--out", str(tmp_path)])
+    scenario = str(bundled_scenario(name))
+    code = cli_main([command, "--scenario", scenario, "--out", str(tmp_path)])
     assert code == 0
     assert sorted(f.name for f in tmp_path.glob("*.csv")) == expected
     for fname in expected:

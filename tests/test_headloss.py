@@ -12,14 +12,17 @@ from leakscope import (
     UnboundedDerivativeError,
 )
 
-ALL_LAWS = [
-    Linear(0.1),
-    Linear(2.0),
-    SignedQuadratic(0.05),
-    QuadraticPlusLinear(2.0),
-    PowerLaw(0.7, 1.85),
-    PowerLaw(1.3, 0.6),
-]
+# test ids spell each law the way it is built: Linear(0.1) is PowerLaw(c=0.1,
+# gamma=1.0), and its id stays "Linear(R=0.1)"
+ALL_LAWS = {
+    "Linear(R=0.1)": Linear(0.1),
+    "Linear(R=2.0)": Linear(2.0),
+    "SignedQuadratic(c=0.05)": SignedQuadratic(0.05),
+    "QuadraticPlusLinear(c=2.0)": QuadraticPlusLinear(2.0),
+    "PowerLaw(c=0.7, gamma=1.85)": PowerLaw(0.7, 1.85),
+    "PowerLaw(c=1.3, gamma=0.6)": PowerLaw(1.3, 0.6),
+}
+law_params = pytest.mark.parametrize("law", list(ALL_LAWS.values()), ids=list(ALL_LAWS))
 
 
 def test_evaluate_examples():
@@ -51,51 +54,54 @@ def test_power_law_derivative_at_zero():
 
 
 def test_invalid_parameters():
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             Linear(bad)
         with pytest.raises(ValueError):
             SignedQuadratic(bad)
         with pytest.raises(ValueError):
+            QuadraticPlusLinear(bad)
+        with pytest.raises(ValueError):
             PowerLaw(1.0, bad)
 
 
-@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda p: repr(p))
+def test_shorthands_are_power_laws():
+    assert Linear(0.1) == PowerLaw(0.1, 1.0)
+    assert SignedQuadratic(0.05) == PowerLaw(0.05, 2.0)
+    assert Linear(0.1).is_linear() and not SignedQuadratic(0.05).is_linear()
+    # the gamma = 1 and gamma = 2 closed forms, exactly
+    assert SignedQuadratic(0.05).evaluate(-3.0) == 0.05 * 3.0 * -3.0
+    assert SignedQuadratic(0.05).invert(-0.2) == -math.sqrt(0.2 / 0.05)
+    assert Linear(0.3).invert(0.7) == 0.7 / 0.3
+
+
+@law_params
 @given(q=st.floats(-100.0, 100.0))
 def test_inversion_round_trip(law, q):
     assert law.invert(law.evaluate(q)) == pytest.approx(q, abs=1e-10 * max(1.0, abs(q)))
 
 
-@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda p: repr(p))
+@law_params
 @given(q=st.floats(-100.0, 100.0))
 def test_odd_and_zero(law, q):
     assert law.evaluate(0.0) == 0.0
     assert law.evaluate(-q) == pytest.approx(-law.evaluate(q), abs=1e-12)
 
 
-@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda p: repr(p))
+@law_params
 def test_monotone_on_grid(law):
     grid = [-100.0 + 200.0 * i / 400 for i in range(401)]
     vals = [law.evaluate(q) for q in grid]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
-@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda p: repr(p))
+@law_params
 @pytest.mark.parametrize("q", [-7.3, -1.0, 0.5, 2.0, 42.0])
 def test_derivative_matches_finite_difference(law, q):
     h = 1e-6 * max(1.0, abs(q))
     fd = (law.evaluate(q + h) - law.evaluate(q - h)) / (2.0 * h)
     d = law.derivative(q)
     assert d == pytest.approx(fd, rel=1e-5, abs=1e-5)
-
-
-def test_generic_invert_fallback():
-    # base-class bisection agrees with the closed form
-    law = QuadraticPlusLinear(3.0)
-    from leakscope.headloss import HeadLossFn
-
-    generic = HeadLossFn.invert(law, 7.5)
-    assert generic == pytest.approx(law.invert(7.5), abs=1e-9)
 
 
 class TestAdmittance:

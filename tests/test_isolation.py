@@ -8,6 +8,7 @@ from leakscope import (
     Linear,
     NoLeakError,
     PipeSet,
+    PowerLaw,
     PowerLawLeak,
     SignedQuadratic,
     SqrtLeak,
@@ -16,6 +17,7 @@ from leakscope import (
     apparent_leak_flow,
     apparent_leak_head,
     candidate_position,
+    detect_inherent_ambiguity,
     fit_leak_function,
     isolate_by_consistency,
     isolate_by_leak_fit,
@@ -50,11 +52,26 @@ class TestConsistency:
         assert not verdict.isolated
         assert "identical" in verdict.reason
 
+    def test_same_law_spelled_two_ways_is_identical(self):
+        pipes = PipeSet((SignedQuadratic(0.05), PowerLaw(0.05, 2.0)))
+        assert detect_inherent_ambiguity(pipes) == [((1, 2), "identical")]
+        leak = LeakSpec(1, 0.4, SqrtLeak())
+        data = simulate_data(pipes, leak, [(h, 1.0) for h in (2.0, 3.0, 4.0, 5.0)])
+        verdict = isolate_by_consistency(pipes, data)
+        assert not verdict.isolated
+        assert "pipes 1-2 identical" in verdict.reason
+
     def test_too_few_points(self, example1):
         pipes, leak, boundaries = example1
         data = simulate_data(pipes, leak, boundaries[:1])
         with pytest.raises(TooFewPointsError):
             isolate_by_consistency(pipes, data)
+
+    def test_repeated_point_is_one_state(self, example1):
+        pipes, leak, boundaries = example1
+        d = simulate_data(pipes, leak, boundaries[:1])[0]
+        with pytest.raises(TooFewPointsError, match="distinct"):
+            isolate_by_consistency(pipes, [d, d])
 
     def test_no_leak_point_rejected(self, example1):
         pipes, _, _ = example1
@@ -121,6 +138,8 @@ class TestFitLeakFunction:
             fit_leak_function([(1.0, 2.0), (2.0, 3.0)])
         with pytest.raises(ValueError):
             fit_leak_function([(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)])
+        with pytest.raises(ValueError, match="positive"):
+            fit_leak_function([(1.0, 2.0), (2.0, 0.0), (3.0, 4.0)])
 
 
 class TestIsolateByLeakFit:
