@@ -23,7 +23,8 @@ class HeadLossFn:
     """Base class for odd, strictly increasing flow -> head-loss laws.
 
     Each law provides `evaluate`, a closed-form `invert`, `derivative` and
-    `shape_key`.
+    `shape_key`, a canonical shape identifier: two laws with equal keys
+    differ by a positive constant factor.
     """
 
     def zero_flow_resistance(self) -> float:
