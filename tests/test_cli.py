@@ -140,6 +140,39 @@ def test_simulate_empty_boundary(tmp_path):
     )
 
 
+def test_eps_spread_flag_overrides_scenario(tmp_path):
+    args = ["--scenario", str(bundled_scenario("example1")), "--out", str(tmp_path)]
+    assert main(["isolate", *args, "--eps-spread", "1e-30"]) == 0
+    spreads = (tmp_path / "isolate_spreads.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[2] for line in spreads] == ["false"] * 3
+    summary = (tmp_path / "isolate_summary.csv").read_text().splitlines()
+    assert summary[1].startswith("false,")
+
+
+@pytest.mark.parametrize("eps,pipe,accepted", [("1e-15", "2", "false"), ("1.0", "1", "true")])
+def test_eps_fit_flag_overrides_scenario(tmp_path, eps, pipe, accepted):
+    args = ["--scenario", str(bundled_scenario("example3")), "--out", str(tmp_path)]
+    assert main(["leakfit", *args, "--eps-fit", eps]) == 0
+    results = (tmp_path / "leakfit_results.csv").read_text().splitlines()
+    by_pipe = {line.split(",")[1]: line.split(",") for line in results[1:]}
+    assert by_pipe[pipe][6] == accepted
+
+
+def test_nominal_dh_flag_supplies_missing_value(tmp_path):
+    doc = json.loads(bundled_scenario("example2").read_text())
+    del doc["analysis"]["nominal_dh"]
+    path = tmp_path / "no-nominal.json"
+    path.write_text(json.dumps(doc))
+    assert run("confusion", path, tmp_path / "missing") == 1
+    out = tmp_path / "flag"
+    args = ["--scenario", str(path), "--out", str(out), "--nominal-dh", "4.0"]
+    assert main(["confusion", *args]) == 0
+    assert run("confusion", bundled_scenario("example2"), tmp_path / "bundled") == 0
+    assert (out / "confusion.csv").read_bytes() == (
+        tmp_path / "bundled" / "confusion.csv"
+    ).read_bytes()
+
+
 def test_isolate_identical_pipes_ambiguous(tmp_path):
     assert run("isolate", bundled_scenario("identical-pipes"), tmp_path) == 0
     summary = (tmp_path / "isolate_summary.csv").read_text().splitlines()
