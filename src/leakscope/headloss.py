@@ -69,8 +69,9 @@ class QuadraticPlusLinear(HeadLossFn):
 class PowerLaw(HeadLossFn):
     """U(q) = c sign(q) |q|^gamma.
 
-    gamma = 2 and gamma = 1 take the closed forms c |q| q, sqrt and c q,
-    h / c rather than the general power, which rounds differently.
+    gamma = 2 takes the closed forms c |q| q and sqrt rather than the
+    general power, which rounds differently. At gamma = 1 the general
+    formulas give exactly c q, h / c and c.
     """
 
     c: float
@@ -84,27 +85,19 @@ class PowerLaw(HeadLossFn):
         gamma = self.gamma
         if gamma == 2.0:
             return self.c * abs(q) * q
-        if gamma == 1.0:
-            return self.c * q
         return math.copysign(self.c * abs(q) ** gamma, q)
 
     def invert(self, h: float) -> float:
         gamma = self.gamma
         if gamma == 2.0:
             return math.copysign(math.sqrt(abs(h) / self.c), h)
-        if gamma == 1.0:
-            return h / self.c
         return math.copysign((abs(h) / self.c) ** (1.0 / gamma), h)
 
     def derivative(self, q: float) -> float:
-        if q == 0.0:
-            if self.gamma < 1.0:
-                raise UnboundedDerivativeError(
-                    f"power law with gamma={self.gamma} < 1 has unbounded slope at q=0"
-                )
-            if self.gamma > 1.0:
-                return 0.0
-            return self.c
+        if q == 0.0 and self.gamma < 1.0:
+            raise UnboundedDerivativeError(
+                f"power law with gamma={self.gamma} < 1 has unbounded slope at q=0"
+            )
         return self.c * self.gamma * abs(q) ** (self.gamma - 1.0)
 
     def is_linear(self) -> bool:

@@ -75,6 +75,18 @@ def test_shorthands_are_power_laws():
     assert Linear(0.3).invert(0.7) == 0.7 / 0.3
 
 
+@given(
+    q=st.floats(allow_nan=False),
+    c=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+def test_linear_general_formulas_exact(q, c):
+    # gamma = 1 takes the general power-law formulas, bit for bit c q, h / c, c
+    law = Linear(c)
+    assert law.evaluate(q).hex() == (c * q).hex()
+    assert law.invert(q).hex() == (q / c).hex()
+    assert law.derivative(q).hex() == c.hex()
+
+
 @law_params
 @given(q=st.floats(-100.0, 100.0))
 def test_inversion_round_trip(law, q):
