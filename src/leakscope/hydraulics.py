@@ -133,10 +133,9 @@ def solve_leaky_state(
 
     lo, hi = min(h_in, h_out), max(h_in, h_out)
     try:
-        lo, hi, _, _ = expand_bracket(mismatch, lo, hi)
+        h_leak = bisect(mismatch, *expand_bracket(mismatch, lo, hi), xtol=1e-13)
     except BracketError as exc:
         raise NoRootError(f"no leak head balances the boundary heads: {exc}") from exc
-    h_leak = bisect(mismatch, lo, hi, xtol=1e-13, max_iter=200)
 
     if isinstance(leak.leak, PowerLawLeak) and h_leak <= leak.leak.h_y:
         raise NoRootError(

@@ -136,8 +136,7 @@ def complete_data_point(
         def f(h: float) -> float:
             return residual(pipes, j, x_j, DataPoint(p.h_in, h, p.q_in, p.q_out))
         seed = p.h_in
-    lo, hi, _, _ = expand_bracket(f, seed - 1.0, seed + 1.0)
-    h = bisect(f, lo, hi, xtol=1e-11, max_iter=200)
+    h = bisect(f, *expand_bracket(f, seed - 1.0, seed + 1.0), xtol=1e-11)
     if missing == "h_in":
         return DataPoint(h, p.h_out, p.q_in, p.q_out)
     return DataPoint(p.h_in, h, p.q_in, p.q_out)

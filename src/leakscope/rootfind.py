@@ -40,11 +40,12 @@ def bisect(
     f: Callable[[float], float],
     lo: float,
     hi: float,
+    flo: float,
+    fhi: float,
     xtol: float = 1e-13,
     max_iter: int = 200,
 ) -> float:
-    """Bisection on a bracket with f(lo)*f(hi) <= 0."""
-    flo, fhi = f(lo), f(hi)
+    """Bisection on [lo, hi] given flo = f(lo), fhi = f(hi), flo*fhi <= 0."""
     if flo == 0.0:
         return lo
     if fhi == 0.0:

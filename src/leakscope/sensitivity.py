@@ -152,8 +152,8 @@ def _solve_point(f, seed: float, tol: float, max_iter: int) -> tuple[float, floa
     # bracketed fallback around the seed
     width = max(1.0, abs(seed))
     try:
-        lo, hi, _, _ = expand_bracket(f, seed - width, seed + width, max_expand=30)
-        q = bisect(f, lo, hi, xtol=1e-13, max_iter=200)
+        bracket = expand_bracket(f, seed - width, seed + width, max_expand=30)
+        q = bisect(f, *bracket, xtol=1e-13)
         fq = f(q)
     except BracketError:
         pass
