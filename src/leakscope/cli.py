@@ -5,11 +5,14 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import localization, sensitivity
 from .hydraulics import NoRootError, measure, solve_leaky_state, sweep
-from .isolation import apparent_leak_head, isolate_by_consistency, isolate_by_leak_fit
+from .isolation import (
+    TooFewPointsError, apparent_leak_head, isolate_by_consistency, isolate_by_leak_fit,
+)
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .sensitivity import confusion_flow_curve, detect_inherent_ambiguity
 
@@ -55,7 +58,7 @@ def _boundary_prefixes(sc: Scenario) -> list[list]:
     ]
 
 
-def _cmd_simulate(sc: Scenario, out: Path, args) -> int:
+def _cmd_simulate(sc: Scenario, out: Path) -> int:
     header = [
         "index", "h_in", "h_out", "dh", "q_in", "q_out",
         "h_leak", "q_leak", "q_in_k", "q_out_k", "error",
@@ -70,7 +73,7 @@ def _cmd_simulate(sc: Scenario, out: Path, args) -> int:
     return 0 if any_ok or not sc.boundary else 1
 
 
-def _cmd_candidates(sc: Scenario, out: Path, args) -> int:
+def _cmd_candidates(sc: Scenario, out: Path) -> int:
     n = sc.pipes.n
     header = ["index", "h_in", "h_out", "dh", "q_in", "q_out"] + [
         f"x_{j}" for j in range(1, n + 1)
@@ -84,8 +87,8 @@ def _cmd_candidates(sc: Scenario, out: Path, args) -> int:
     return 0 if any_ok or not sc.boundary else 1
 
 
-def _nominal_point(sc: Scenario, args):
-    nominal_dh = args.nominal_dh if args.nominal_dh is not None else sc.analysis.nominal_dh
+def _nominal_point(sc: Scenario):
+    nominal_dh = sc.analysis.nominal_dh
     if nominal_dh is None:
         raise ScenarioError(["analysis.nominal_dh (or --nominal-dh) is required"])
     h_out = sc.boundary[0][1] if sc.boundary else 1.0
@@ -99,8 +102,8 @@ def _dh_grid(sc: Scenario):
     return list(sc.analysis.dh_grid)
 
 
-def _cmd_residual_sweep(sc: Scenario, out: Path, args) -> int:
-    nominal, h_out, _ = _nominal_point(sc, args)
+def _cmd_residual_sweep(sc: Scenario, out: Path) -> int:
+    nominal, h_out, _ = _nominal_point(sc)
     frozen = {c.j: c.x_j for c in localization.all_candidates(sc.pipes, nominal)}
     n = sc.pipes.n
     header = ["dh", "h_in", "h_out", "q_in", "q_out"] + [
@@ -118,8 +121,8 @@ def _cmd_residual_sweep(sc: Scenario, out: Path, args) -> int:
     return 0 if any_ok else 1
 
 
-def _cmd_confusion(sc: Scenario, out: Path, args) -> int:
-    nominal, h_out, nominal_dh = _nominal_point(sc, args)
+def _cmd_confusion(sc: Scenario, out: Path) -> int:
+    nominal, h_out, nominal_dh = _nominal_point(sc)
     frozen = {c.j: c.x_j for c in localization.all_candidates(sc.pipes, nominal)}
     grid = sorted(_dh_grid(sc))
     upper = [dh for dh in grid if dh >= nominal_dh]
@@ -145,9 +148,9 @@ def _cmd_confusion(sc: Scenario, out: Path, args) -> int:
     return 0
 
 
-def _cmd_isolate(sc: Scenario, out: Path, args) -> int:
+def _cmd_isolate(sc: Scenario, out: Path) -> int:
     result = sweep(sc.pipes, sc.leak, list(sc.boundary))
-    verdict = isolate_by_consistency(sc.pipes, result.ok(), eps_spread=args.eps_spread)
+    verdict = isolate_by_consistency(sc.pipes, result.ok(), eps_spread=sc.analysis.eps_spread)
     _write_csv(
         out / "isolate_summary.csv",
         ["isolated", "k_hat", "x_hat", "candidate_pipes", "reason"],
@@ -163,18 +166,19 @@ def _cmd_isolate(sc: Scenario, out: Path, args) -> int:
         out / "isolate_spreads.csv",
         ["pipe", "spread", "plausible"],
         [
-            [j, verdict.spreads[j], verdict.spreads[j] <= args.eps_spread]
+            [j, verdict.spreads[j], verdict.spreads[j] <= sc.analysis.eps_spread]
             for j in sorted(verdict.spreads)
         ],
     )
     return 0
 
 
-def _cmd_leakfit(sc: Scenario, out: Path, args) -> int:
+def _cmd_leakfit(sc: Scenario, out: Path) -> int:
     result = sweep(sc.pipes, sc.leak, list(sc.boundary))
     data = result.ok()
-    first = data[0]
-    frozen = {c.j: c.x_j for c in localization.all_candidates(sc.pipes, first)}
+    if len(data) < 3:
+        raise TooFewPointsError(f"need at least 3 data points, got {len(data)}")
+    frozen = {c.j: c.x_j for c in localization.all_candidates(sc.pipes, data[0])}
     h_y = (
         {j: sc.analysis.h_y[j - 1] for j in frozen}
         if sc.analysis.h_y is not None
@@ -191,7 +195,7 @@ def _cmd_leakfit(sc: Scenario, out: Path, args) -> int:
     _write_csv(
         out / "leakfit_samples.csv", ["pipe", "index", "h_leak_j", "q_leak"], sample_rows
     )
-    fits = isolate_by_leak_fit(sc.pipes, data, frozen, h_y=h_y, eps_fit=args.eps_fit)
+    fits = isolate_by_leak_fit(sc.pipes, data, frozen, h_y=h_y, eps_fit=sc.analysis.eps_fit)
     _write_csv(
         out / "leakfit_results.csv",
         ["rank", "pipe", "C", "beta", "rmse", "negative_head", "accepted"],
@@ -203,7 +207,7 @@ def _cmd_leakfit(sc: Scenario, out: Path, args) -> int:
     return 0
 
 
-def _cmd_check(sc: Scenario, out: Path, args) -> int:
+def _cmd_check(sc: Scenario, out: Path) -> int:
     flagged = detect_inherent_ambiguity(sc.pipes)
     _write_csv(
         out / "check.csv",
@@ -249,14 +253,16 @@ def main(argv: list[str] | None = None) -> int:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
         return 2
-    if args.eps_spread is None:
-        args.eps_spread = sc.analysis.eps_spread
-    if args.eps_fit is None:
-        args.eps_fit = sc.analysis.eps_fit
+    overrides = {
+        name: getattr(args, name)
+        for name in ("nominal_dh", "eps_spread", "eps_fit")
+        if getattr(args, name) is not None
+    }
+    sc = replace(sc, analysis=replace(sc.analysis, **overrides))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        return _COMMANDS[args.command](sc, out, args)
+        return _COMMANDS[args.command](sc, out)
     except (ScenarioError, NoRootError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .headloss import HeadLossFn, Linear, PipeSet, PowerLaw, QuadraticPlusLinear, SignedQuadratic
-from .hydraulics import FixedDemand, LeakFn, LeakSpec, PowerLawLeak, SqrtLeak
+from .headloss import Linear, PipeSet, PowerLaw, QuadraticPlusLinear, SignedQuadratic
+from .hydraulics import FixedDemand, LeakSpec, PowerLawLeak, SqrtLeak
 
 
 class ScenarioError(ValueError):
@@ -36,161 +38,160 @@ class Scenario:
     analysis: AnalysisOptions = field(default_factory=AnalysisOptions)
 
 
+# A rule is (what the value must be, test on the finite float).
+FINITE = ("a finite number", lambda v: True)
+POSITIVE = ("a positive finite number", lambda v: v > 0)
+NON_NEGATIVE = ("a non-negative finite number", lambda v: v >= 0)
+UNIT_OPEN = ("a number in (0,1)", lambda v: 0 < v < 1)
+
+
+def _integer(lo: float, hi: float):
+    return (f"an integer in {lo}..{hi}", lambda v: v.is_integer() and lo <= v <= hi)
+
+
+# a range builds all its values up front, so its size is bounded
+STEPS = _integer(1, 1_000_000)
+
+# {type: (constructor, {field: rule})}; a field that is absent or null
+# takes the constructor's default, or is reported when it has none
 _PIPE_TYPES = {
-    "linear": (Linear, ("R",)),
-    "signed_quadratic": (SignedQuadratic, ("c",)),
-    "quadratic_plus_linear": (QuadraticPlusLinear, ("c",)),
-    "power_law": (PowerLaw, ("c", "gamma")),
+    "linear": (Linear, {"R": POSITIVE}),
+    "signed_quadratic": (SignedQuadratic, {"c": POSITIVE}),
+    "quadratic_plus_linear": (QuadraticPlusLinear, {"c": POSITIVE}),
+    "power_law": (PowerLaw, {"c": POSITIVE, "gamma": POSITIVE}),
+}
+_LEAK_TYPES = {
+    "power_law_leak": (PowerLawLeak, {"C": POSITIVE, "beta": POSITIVE, "h_y": FINITE}),
+    "fixed_demand": (FixedDemand, {"q_leak": NON_NEGATIVE}),
+    "sqrt": (SqrtLeak, {}),
 }
 
 
-def _parse_pipe(obj, path: str, problems: list[str]) -> HeadLossFn | None:
+def _number(value, path: str, problems: list[str], rule=FINITE) -> float | None:
+    """The document value as a finite float passing `rule`, or None after
+    recording "<path>: expected <what>, got <value>". Strings and booleans
+    are not numbers."""
+    what, test = rule
+    finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if finite and test(float(value)):
+        return float(value)
+    problems.append(f"{path}: expected {what}, got {value!r}")
+    return None
+
+
+def _numbers(values, path: str, problems: list[str], rule=FINITE, n: int | None = None):
+    """A list of numbers read by `_number`, with exactly n entries if n is
+    given; None after recording the problems."""
+    if not isinstance(values, list) or (n is not None and len(values) != n):
+        size = "" if n is None else f"{n} "
+        problems.append(f"{path}: expected a list of {size}numbers, got {values!r}")
+        return None
+    out = tuple(_number(v, f"{path}[{i}]", problems, rule) for i, v in enumerate(values))
+    return None if None in out else out
+
+
+def _object(obj, path: str, problems: list[str], table: dict):
+    """Build `constructor(**fields)` for the entry of `table` that the
+    object's "type" names; None after recording the problems."""
     if not isinstance(obj, dict):
         problems.append(f"{path}: expected an object, got {obj!r}")
         return None
     kind = obj.get("type")
-    if not isinstance(kind, str) or kind not in _PIPE_TYPES:
-        problems.append(f"{path}.type: unknown head loss type {kind!r}")
+    if not isinstance(kind, str) or kind not in table:
+        problems.append(f"{path}.type: expected one of {', '.join(table)}, got {kind!r}")
         return None
-    cls, fields = _PIPE_TYPES[kind]
-    kwargs = {}
-    for name in fields:
-        if name not in obj:
-            problems.append(f"{path}.{name}: missing")
-            return None
-        try:
-            value = float(obj[name])
-        except (TypeError, ValueError):
-            value = math.nan
-        if not (math.isfinite(value) and value > 0):
-            problems.append(
-                f"{path}.{name}: expected a positive finite number, got {obj[name]!r}"
-            )
-            return None
-        kwargs[name] = value
-    return cls(**kwargs)
+    constructor, fields = table[kind]
+    kwargs = {
+        name: _number(obj.get(name), f"{path}.{name}", problems, rule)
+        for name, rule in fields.items()
+        if obj.get(name) is not None  # else only when the constructor has no default
+        or inspect.signature(constructor).parameters[name].default is inspect.Parameter.empty
+    }
+    return None if None in kwargs.values() else constructor(**kwargs)
 
 
-def _parse_leak_fn(obj: dict, path: str, problems: list[str]) -> LeakFn | None:
-    kind = obj.get("type")
-    try:
-        if kind == "power_law_leak":
-            return PowerLawLeak(
-                C=float(obj["C"]), beta=float(obj["beta"]),
-                h_y=float(obj.get("h_y", 0.0)),
-            )
-        if kind == "fixed_demand":
-            return FixedDemand(q_leak=float(obj["q_leak"]))
-        if kind == "sqrt":
-            return SqrtLeak()
-    except KeyError as exc:
-        problems.append(f"{path}.{exc.args[0]}: missing")
-        return None
-    except ValueError as exc:
-        problems.append(f"{path}: {exc}")
-        return None
-    problems.append(f"{path}.type: unknown leak type {kind!r}")
-    return None
+def _range(obj: dict, path: str, problems: list[str]) -> tuple[float, ...]:
+    """`steps` evenly spaced values from `from` to `to` inclusive."""
+    lo = _number(obj.get("from"), f"{path}.from", problems)
+    hi = _number(obj.get("to"), f"{path}.to", problems)
+    steps = _number(obj.get("steps"), f"{path}.steps", problems, STEPS)
+    if None in (lo, hi, steps):
+        return ()
+    last = int(steps) - 1
+    return tuple(lo + (hi - lo) * i / last for i in range(last + 1)) if last else (lo,)
 
 
-def _linspace(lo: float, hi: float, steps: int) -> list[float]:
-    if steps == 1:
-        return [lo]
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-
-
-def _parse_range(obj: dict) -> list[float]:
-    return _linspace(float(obj["from"]), float(obj["to"]), int(obj["steps"]))
-
-
-def _parse_boundary(obj, problems: list[str]) -> list[tuple[float, float]]:
+def _boundary(obj, problems: list[str]) -> list[tuple[float, float]]:
     if isinstance(obj, list):
-        out = []
-        for idx, pair in enumerate(obj):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                problems.append(f"boundary[{idx}]: expected [h_in, h_out]")
-                continue
-            out.append((float(pair[0]), float(pair[1])))
-        return out
-    if isinstance(obj, dict):
-        try:
-            h_in = obj["h_in"]
-            h_out = obj["h_out"]
-            h_ins = _parse_range(h_in) if isinstance(h_in, dict) else None
-            h_outs = _parse_range(h_out) if isinstance(h_out, dict) else None
-            if h_ins is not None and h_outs is None:
-                return [(h, float(h_out)) for h in h_ins]
-            if h_outs is not None and h_ins is None:
-                return [(float(h_in), h) for h in h_outs]
-            problems.append("boundary: exactly one of h_in/h_out may be a range")
-        except KeyError as exc:
-            problems.append(f"boundary.{exc.args[0]}: missing")
+        pairs = (_numbers(p, f"boundary[{i}]", problems, n=2) for i, p in enumerate(obj))
+        return [pair for pair in pairs if pair is not None]
+    if not isinstance(obj, dict):
+        problems.append(f"boundary: expected a list of pairs or a range spec, got {obj!r}")
         return []
-    problems.append("boundary: expected a list of pairs or a range spec")
-    return []
+    h_in, h_out = obj.get("h_in"), obj.get("h_out")
+    if isinstance(h_in, dict) == isinstance(h_out, dict):
+        problems.append("boundary: exactly one of h_in/h_out must be a range")
+        return []
+    if isinstance(h_in, dict):
+        h_out = _number(h_out, "boundary.h_out", problems)
+        return [(h, h_out) for h in _range(h_in, "boundary.h_in", problems)]
+    h_in = _number(h_in, "boundary.h_in", problems)
+    return [(h_in, h) for h in _range(h_out, "boundary.h_out", problems)]
 
 
 def load_scenario(doc: dict) -> Scenario:
     """Build a validated Scenario from a parsed JSON document."""
+    if not isinstance(doc, dict):
+        raise ScenarioError([f"scenario: expected an object, got {doc!r}"])
     problems: list[str] = []
 
     pipe_objs = doc.get("pipes")
-    pipes_list: list[HeadLossFn] = []
     if not isinstance(pipe_objs, list) or not pipe_objs:
         problems.append("pipes: expected a non-empty list")
-    else:
-        for idx, obj in enumerate(pipe_objs):
-            p = _parse_pipe(obj, f"pipes[{idx}]", problems)
-            if p is not None:
-                pipes_list.append(p)
+        pipe_objs = []
+    n = len(pipe_objs) or None
+    pipes = [_object(p, f"pipes[{i}]", problems, _PIPE_TYPES) for i, p in enumerate(pipe_objs)]
 
     lengths = doc.get("lengths")
     if lengths is not None:
-        lengths = tuple(float(v) for v in lengths)
-        if pipes_list and len(lengths) != len(pipes_list):
-            problems.append("lengths: must match the number of pipes")
-            lengths = None
-        elif any(L <= 0 for L in lengths):
-            problems.append("lengths: all must be positive")
-            lengths = None
+        lengths = _numbers(lengths, "lengths", problems, POSITIVE, n)
 
-    leak_obj = doc.get("leak")
-    leak = None
-    if not isinstance(leak_obj, dict):
-        problems.append("leak: missing or not an object")
+    leak = doc.get("leak")
+    if isinstance(leak, dict):
+        k = _number(leak.get("k"), "leak.k", problems, _integer(1, n or math.inf))
+        x = _number(leak.get("x"), "leak.x", problems, UNIT_OPEN)
+        fn = _object(leak.get("fn"), "leak.fn", problems, _LEAK_TYPES)
     else:
-        fn = _parse_leak_fn(leak_obj.get("fn", {}), "leak.fn", problems)
-        k = int(leak_obj.get("k", 0))
-        x = float(leak_obj.get("x", -1.0))
-        if pipes_list and not 1 <= k <= len(pipes_list):
-            problems.append(f"leak.k: pipe index {k} out of range 1..{len(pipes_list)}")
-        if not 0.0 < x < 1.0:
-            problems.append(f"leak.x: relative position {x} not in (0,1)")
-        if fn is not None and not problems:
-            leak = LeakSpec(k=k, x=x, leak=fn)
+        problems.append(f"leak: expected an object, got {leak!r}")
 
-    boundary = _parse_boundary(doc.get("boundary", []), problems)
+    boundary = _boundary(doc.get("boundary", []), problems)
 
     a = doc.get("analysis", {})
+    if not isinstance(a, dict):
+        problems.append(f"analysis: expected an object, got {a!r}")
+        a = {}
+    options = {
+        name: _number(a[name], f"analysis.{name}", problems, rule)
+        for name, rule in (
+            ("eps_spread", NON_NEGATIVE), ("eps_fit", NON_NEGATIVE), ("nominal_dh", FINITE)
+        )
+        if a.get(name) is not None
+    }
     dh_grid = a.get("dh_grid")
     if isinstance(dh_grid, dict):
-        dh_grid = _parse_range(dh_grid)
-    h_y = a.get("h_y")
-    analysis = AnalysisOptions(
-        eps_spread=float(a.get("eps_spread", 1e-6)),
-        eps_fit=float(a.get("eps_fit", 1e-6)),
-        nominal_dh=float(a["nominal_dh"]) if "nominal_dh" in a else None,
-        dh_grid=tuple(dh_grid) if dh_grid is not None else None,
-        h_y=tuple(float(v) for v in h_y) if h_y is not None else None,
-    )
+        options["dh_grid"] = _range(dh_grid, "analysis.dh_grid", problems)
+    elif dh_grid is not None:
+        options["dh_grid"] = _numbers(dh_grid, "analysis.dh_grid", problems)
+    if a.get("h_y") is not None:
+        options["h_y"] = _numbers(a["h_y"], "analysis.h_y", problems, FINITE, n)
 
     if problems:
         raise ScenarioError(problems)
     return Scenario(
-        pipes=PipeSet(pipes=tuple(pipes_list), lengths=lengths),
-        leak=leak,
+        pipes=PipeSet(pipes=tuple(pipes), lengths=lengths),
+        leak=LeakSpec(k=int(k), x=x, leak=fn),
         boundary=tuple(boundary),
-        analysis=analysis,
+        analysis=AnalysisOptions(**options),
     )
 
 

@@ -1,10 +1,14 @@
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leakscope import bundled_scenario, parse_scenario
 from leakscope.cli import main
-from leakscope.scenario import ScenarioError
+from leakscope.scenario import Scenario, ScenarioError, load_scenario
+
+NAN = float("nan")
 
 HEADERS = {
     "simulate.csv": "index,h_in,h_out,dh,q_in,q_out,h_leak,q_leak,q_in_k,q_out_k,error",
@@ -73,18 +77,38 @@ class TestScenarioParsing:
             parse_scenario(path)
 
     @pytest.mark.parametrize(
-        "pipe,path",
+        "keys,value,path",
         [
-            ({"type": "signed_quadratic", "c": "abc"}, "pipes[0].c"),
-            (3, "pipes[0]"),
-            ({"type": "signed_quadratic", "c": float("nan")}, "pipes[0].c"),
-            ({"type": ["linear"], "R": 0.1}, "pipes[0].type"),
+            (("pipes", 0), {"type": "signed_quadratic", "c": "abc"}, "pipes[0].c"),
+            (("pipes", 0), 3, "pipes[0]"),
+            (("pipes", 0), {"type": "signed_quadratic", "c": NAN}, "pipes[0].c"),
+            (("pipes", 0), {"type": ["linear"], "R": 0.1}, "pipes[0].type"),
+            (("lengths",), ["abc", 1.0, 1.0], "lengths[0]"),
+            (("leak", "x"), "abc", "leak.x"),
+            (("leak", "k"), 2.7, "leak.k"),
+            (("leak", "fn"), {"type": "power_law_leak", "C": None, "beta": 0.5}, "leak.fn.C"),
+            (("leak", "fn"), {"type": "power_law_leak", "C": NAN, "beta": 0.5}, "leak.fn.C"),
+            (("boundary",), [["x", 1.0]], "boundary[0][0]"),
+            (("boundary", "h_in", "steps"), 0, "boundary.h_in.steps"),
+            (("analysis",), {"h_y": [0.0]}, "analysis.h_y"),
+            (("analysis",), [], "analysis"),
+            ((), [], "scenario"),
         ],
-        ids=["non-numeric", "non-object", "nan", "list-type"],
+        ids=[
+            "non-numeric", "non-object", "nan", "list-type", "lengths", "leak-x",
+            "fractional-k", "null-C", "nan-C", "boundary-pair", "zero-steps",
+            "short-h_y", "list-analysis", "list-document",
+        ],
     )
-    def test_bad_pipe_named(self, tmp_path, capsys, pipe, path):
+    def test_bad_pipe_named(self, tmp_path, capsys, keys, value, path):
         doc = json.loads(bundled_scenario("example1").read_text())
-        doc["pipes"][0] = pipe
+        if keys:
+            target = doc
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
+        else:
+            doc = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         with pytest.raises(ScenarioError) as err:
@@ -97,6 +121,36 @@ class TestScenarioParsing:
         path = tmp_path / "bad.json"
         path.write_text("{}")
         assert run("simulate", path, tmp_path / "out") == 2
+
+
+# JSON-like values; dictionary keys and strings are often the scenario's own
+# field and type names, so generated objects reach past the top level
+NAMES = st.sampled_from([
+    "pipes", "lengths", "leak", "boundary", "analysis", "type", "c", "R", "gamma",
+    "k", "x", "fn", "C", "beta", "h_y", "q_leak", "h_in", "h_out", "from", "to",
+    "steps", "eps_spread", "eps_fit", "nominal_dh", "dh_grid", "linear", "power_law",
+    "signed_quadratic", "quadratic_plus_linear", "power_law_leak", "fixed_demand", "sqrt",
+])
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | NAMES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(NAMES | st.text(max_size=4), inner, max_size=5),
+    max_leaves=16,
+)
+EXAMPLE1 = json.loads(bundled_scenario("example1").read_text())
+DOCUMENTS = JSON | st.dictionaries(st.sampled_from(sorted(EXAMPLE1)), JSON).map(
+    lambda replaced: {**EXAMPLE1, **replaced}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=DOCUMENTS)
+def test_any_document_loads_or_names_a_path(doc):
+    try:
+        assert isinstance(load_scenario(doc), Scenario)
+    except ScenarioError as exc:
+        assert exc.problems
+        assert all(re.match(r"[\w.\[\]]+: ", problem) for problem in exc.problems)
 
 
 def test_candidates_example1_pattern(tmp_path):
@@ -171,6 +225,15 @@ def test_nominal_dh_flag_supplies_missing_value(tmp_path):
     assert (out / "confusion.csv").read_bytes() == (
         tmp_path / "bundled" / "confusion.csv"
     ).read_bytes()
+
+
+def test_leakfit_without_data_points(tmp_path, capsys):
+    doc = json.loads(bundled_scenario("example3").read_text())
+    doc["boundary"] = []
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    assert run("leakfit", path, tmp_path / "out") == 1
+    assert capsys.readouterr().err == "error: need at least 3 data points, got 0\n"
 
 
 def test_isolate_identical_pipes_ambiguous(tmp_path):
