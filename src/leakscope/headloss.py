@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 
@@ -152,8 +153,32 @@ class PipeSet:
         return (p for i, p in enumerate(self.pipes, start=1) if i != j)
 
     def admittance_excluding(self, j: int, dh: float) -> float:
-        """Total flow through all pipes except j at head loss dh."""
-        return sum(p.invert(dh) for p in self.others(j))
+        """Total flow through all pipes except j at head loss dh.
+
+        The flows of the pipes before j are summed from the inlet side, those
+        after j from the outlet side, and the two partial sums are added:
+        the same additions in the same order as `admittances_excluding`.
+        """
+        self.pipe(j)  # range check
+        inlet = outlet = 0.0
+        for p in self.pipes[: j - 1]:
+            inlet += p.invert(dh)
+        for p in reversed(self.pipes[j:]):
+            outlet += p.invert(dh)
+        return inlet + outlet
+
+    def admittances_excluding(self, dh: float) -> tuple[float, ...]:
+        """`admittance_excluding(j, dh)` for every pipe j, in pipe order.
+
+        Each pipe is inverted once; entry j adds the prefix sum of the pipes
+        before j to the suffix sum of the pipes after it. All flows share the
+        sign of dh, so unlike total-minus-own no entry cancels a dominant pipe.
+        """
+        flows = [p.invert(dh) for p in self.pipes]
+        inlet = list(accumulate(flows, initial=0.0))
+        outlet = list(accumulate(reversed(flows), initial=0.0))
+        n = len(flows)
+        return tuple(inlet[i] + outlet[n - 1 - i] for i in range(n))
 
     def admittance_derivative_excluding(self, j: int, dh: float) -> float:
         """Slope of the admittance sum, via the inverse function rule."""

@@ -12,7 +12,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .headloss import PipeSet
+from .headloss import HeadLossFn, PipeSet
 from .hydraulics import DataPoint
 from .localization import NoLeakError, all_candidates
 from .sensitivity import detect_inherent_ambiguity
@@ -85,11 +85,13 @@ def isolate_by_consistency(
     )
 
 
+def _leak_head(U_j: HeadLossFn, x_j: float, G: float, d: DataPoint) -> float:
+    return d.h_in - x_j * U_j.evaluate(d.q_in - G)
+
+
 def apparent_leak_head(pipes: PipeSet, j: int, x_j: float, d: DataPoint) -> float:
     """Head at the hypothesized leak in pipe j, from the inlet side."""
-    U_j = pipes.pipe(j)
-    G = pipes.admittance_excluding(j, d.dh)
-    return d.h_in - x_j * U_j.evaluate(d.q_in - G)
+    return _leak_head(pipes.pipe(j), x_j, pipes.admittance_excluding(j, d.dh), d)
 
 
 def apparent_leak_flow(d: DataPoint) -> float:
@@ -161,12 +163,17 @@ def isolate_by_leak_fit(
     """
     if len(data) < 3:
         raise TooFewPointsError(f"need at least 3 data points, got {len(data)}")
-    results: list[LeakFitResult] = []
-    for j in sorted(candidates):
-        x_j = candidates[j]
-        hy_j = h_y[j] if isinstance(h_y, dict) else h_y
-        samples = [
-            (apparent_leak_head(pipes, j, x_j, d), apparent_leak_flow(d)) for d in data
-        ]
-        results.append(fit_leak_function(samples, h_y=hy_j, eps_fit=eps_fit, j=j))
+    laws = {j: pipes.pipe(j) for j in sorted(candidates)}
+    samples: dict[int, list[tuple[float, float]]] = {j: [] for j in laws}
+    for d in data:
+        G = pipes.admittances_excluding(d.dh)
+        q_leak = apparent_leak_flow(d)
+        for j, U_j in laws.items():
+            samples[j].append((_leak_head(U_j, candidates[j], G[j - 1], d), q_leak))
+    results = [
+        fit_leak_function(
+            samples[j], h_y=h_y[j] if isinstance(h_y, dict) else h_y, eps_fit=eps_fit, j=j
+        )
+        for j in laws
+    ]
     return sorted(results, key=lambda r: (r.negative_head, r.rmse, r.j))

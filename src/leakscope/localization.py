@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .headloss import PipeSet
+from .headloss import HeadLossFn, PipeSet
 from .hydraulics import DataPoint
 from .rootfind import bisect, expand_bracket
 
@@ -66,13 +66,12 @@ def residual(pipes: PipeSet, j: int, x_j: float, d: DataPoint) -> float:
     )
 
 
-def candidate_position(pipes: PipeSet, j: int, d: DataPoint) -> float:
-    """The unique x_j in (0,1) zeroing the pipe-j residual."""
+def _candidate(U_j: HeadLossFn, j: int, G: float, d: DataPoint) -> LeakCandidate:
+    """The pipe-j candidate, given the flow G through all other pipes; its
+    residual check reuses the two head losses that gave x_j."""
     if d.q_in == d.q_out:
         raise NoLeakError("q_in equals q_out; no leak position can be inferred")
-    U_j = pipes.pipe(j)
     dh = d.dh
-    G = pipes.admittance_excluding(j, dh)
     head_in = U_j.evaluate(d.q_in - G)
     head_out = U_j.evaluate(d.q_out - G)
     x_j = (dh - head_out) / (head_in - head_out)
@@ -80,18 +79,22 @@ def candidate_position(pipes: PipeSet, j: int, d: DataPoint) -> float:
         warnings.warn(
             f"candidate position {x_j} for pipe {j} falls outside (0,1); "
             "the data point is not consistent with a single leak",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return x_j
+    return LeakCandidate(
+        j=j, x_j=x_j, residual_check=dh - x_j * head_in - (1.0 - x_j) * head_out
+    )
+
+
+def candidate_position(pipes: PipeSet, j: int, d: DataPoint) -> float:
+    """The unique x_j in (0,1) zeroing the pipe-j residual."""
+    return _candidate(pipes.pipe(j), j, pipes.admittance_excluding(j, d.dh), d).x_j
 
 
 def all_candidates(pipes: PipeSet, d: DataPoint) -> list[LeakCandidate]:
     """One leak candidate per pipe, with its residual check."""
-    out = []
-    for j in range(1, pipes.n + 1):
-        x_j = candidate_position(pipes, j, d)
-        out.append(LeakCandidate(j=j, x_j=x_j, residual_check=residual(pipes, j, x_j, d)))
-    return out
+    G = pipes.admittances_excluding(d.dh)
+    return [_candidate(U_j, j, G[j - 1], d) for j, U_j in enumerate(pipes.pipes, start=1)]
 
 
 def estimate_outflow(

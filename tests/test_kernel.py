@@ -2,9 +2,11 @@
 through all other pipes must agree exactly with its one-pipe definition."""
 
 import random
+import struct
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import simulate_data
 
@@ -80,3 +82,50 @@ def test_leak_fit_matches_apparent_leak_head_samples(n, per_pipe_h_y):
         key=lambda r: (r.negative_head, r.rmse, r.j),
     )
     assert isolate_by_leak_fit(pipes, data, candidates, h_y=h_y) == expected
+
+
+laws = st.one_of(
+    st.builds(PowerLaw, st.floats(0.01, 10.0), st.sampled_from([0.5, 1.0, 1.85, 2.0, 3.0])),
+    st.builds(QuadraticPlusLinear, st.floats(0.01, 10.0)),
+)
+head_losses = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e12, -1e12]),
+    st.floats(-1e12, 1e12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(laws, min_size=1, max_size=30), head_losses, st.data())
+def test_one_pipe_and_all_pipe_admittances_agree_bitwise(pipe_list, dh, data):
+    pipes = PipeSet(tuple(pipe_list))
+    j = data.draw(st.integers(1, pipes.n), label="j")
+    one = pipes.admittance_excluding(j, dh)
+    every = pipes.admittances_excluding(dh)
+    assert len(every) == pipes.n
+    assert struct.pack("<d", one) == struct.pack("<d", every[j - 1])
+
+
+@pytest.fixture
+def count_inversions(monkeypatch):
+    calls = [0]
+    for cls in (PowerLaw, QuadraticPlusLinear):
+        def counted(self, h, _invert=cls.invert):
+            calls[0] += 1
+            return _invert(self, h)
+        monkeypatch.setattr(cls, "invert", counted)
+    return calls
+
+
+def test_all_candidates_inverts_each_pipe_once(count_inversions):
+    pipes, _, data = mixed_network(40)
+    count_inversions[0] = 0
+    all_candidates(pipes, data[0])
+    assert count_inversions[0] == pipes.n
+
+
+def test_leak_fit_inverts_each_pipe_once_per_point(count_inversions):
+    pipes, _, data = mixed_network(40)
+    candidates = {c.j: c.x_j for c in all_candidates(pipes, data[0])}
+    count_inversions[0] = 0
+    isolate_by_leak_fit(pipes, data, candidates)
+    assert count_inversions[0] == pipes.n * len(data)
