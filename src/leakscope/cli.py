@@ -13,7 +13,7 @@ from .hydraulics import NoRootError, measure, solve_leaky_state, sweep
 from .isolation import (
     TooFewPointsError, apparent_leak_head, isolate_by_consistency, isolate_by_leak_fit,
 )
-from .scenario import Scenario, ScenarioError, parse_scenario
+from .scenario import Scenario, ScenarioError, parse_scenario, read_options
 from .sensitivity import confusion_flow_curve, detect_inherent_ambiguity
 
 
@@ -247,17 +247,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    problems: list[str] = []
+    overrides = read_options(vars(args), lambda name: "--" + name.replace("_", "-"), problems)
     try:
         sc = parse_scenario(args.scenario)
     except ScenarioError as exc:
-        for problem in exc.problems:
+        problems += exc.problems
+    if problems:
+        for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
         return 2
-    overrides = {
-        name: getattr(args, name)
-        for name in ("nominal_dh", "eps_spread", "eps_fit")
-        if getattr(args, name) is not None
-    }
     sc = replace(sc, analysis=replace(sc.analysis, **overrides))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -52,6 +52,9 @@ def _integer(lo: float, hi: float):
 # a range builds all its values up front, so its size is bounded
 STEPS = _integer(1, 1_000_000)
 
+# analysis options that a document or a command line flag may set
+_OPTION_RULES = {"eps_spread": NON_NEGATIVE, "eps_fit": NON_NEGATIVE, "nominal_dh": FINITE}
+
 # {type: (constructor, {field: rule})}; a field that is absent or null
 # takes the constructor's default, or is reported when it has none
 _PIPE_TYPES = {
@@ -108,6 +111,16 @@ def _object(obj, path: str, problems: list[str], table: dict):
         or inspect.signature(constructor).parameters[name].default is inspect.Parameter.empty
     }
     return None if None in kwargs.values() else constructor(**kwargs)
+
+
+def read_options(values: dict, path, problems: list[str]) -> dict:
+    """The `_OPTION_RULES` options that `values` sets to something other than
+    None, each read by `_number` and named `path(name)` in the problems."""
+    return {
+        name: _number(values[name], path(name), problems, rule)
+        for name, rule in _OPTION_RULES.items()
+        if values.get(name) is not None
+    }
 
 
 def _range(obj: dict, path: str, problems: list[str]) -> tuple[float, ...]:
@@ -170,13 +183,7 @@ def load_scenario(doc: dict) -> Scenario:
     if not isinstance(a, dict):
         problems.append(f"analysis: expected an object, got {a!r}")
         a = {}
-    options = {
-        name: _number(a[name], f"analysis.{name}", problems, rule)
-        for name, rule in (
-            ("eps_spread", NON_NEGATIVE), ("eps_fit", NON_NEGATIVE), ("nominal_dh", FINITE)
-        )
-        if a.get(name) is not None
-    }
+    options = read_options(a, lambda name: f"analysis.{name}", problems)
     dh_grid = a.get("dh_grid")
     if isinstance(dh_grid, dict):
         options["dh_grid"] = _range(dh_grid, "analysis.dh_grid", problems)
@@ -200,6 +207,12 @@ def parse_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
+    except OSError as exc:
+        raise ScenarioError([f"{path}: cannot read file: {exc.strerror or exc}"])
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}"])
+    except RecursionError:
+        raise ScenarioError([f"{path}: invalid JSON: nested too deeply"])
+    except ValueError as exc:  # e.g. an integer literal over the digit limit
+        raise ScenarioError([f"{path}: invalid JSON: {exc}"])
     return load_scenario(doc)

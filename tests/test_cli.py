@@ -117,6 +117,26 @@ class TestScenarioParsing:
         assert run("simulate", bad, tmp_path / "out") == 2
         assert f"error: {path}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (None, "cannot read file"),
+            ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+            ('{"pipes": ' + "9" * 5000 + "}", "4300 digits"),
+        ],
+        ids=["missing-file", "deep-nesting", "huge-integer"],
+    )
+    def test_unreadable_file_named(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ScenarioError, match=message) as err:
+            parse_scenario(path)
+        assert err.value.problems[0].startswith(f"{path}: ")
+        assert run("simulate", path, tmp_path / "out") == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith(f"error: {path}: ")
+
     def test_cli_exit_code_on_bad_scenario(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}")
@@ -225,6 +245,26 @@ def test_nominal_dh_flag_supplies_missing_value(tmp_path):
     assert (out / "confusion.csv").read_bytes() == (
         tmp_path / "bundled" / "confusion.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flag,value,what",
+    [
+        ("--eps-spread", "nan", "a non-negative finite number"),
+        ("--eps-spread", "-1", "a non-negative finite number"),
+        ("--eps-fit", "inf", "a non-negative finite number"),
+        ("--eps-fit", "-1e-9", "a non-negative finite number"),
+        ("--nominal-dh", "nan", "a finite number"),
+        ("--nominal-dh", "-inf", "a finite number"),
+    ],
+    ids=["spread-nan", "spread-negative", "fit-inf", "fit-negative", "nominal-nan", "nominal-inf"],
+)
+def test_bad_flag_value_rejected(tmp_path, capsys, flag, value, what):
+    args = ["--scenario", str(bundled_scenario("example1")), "--out", str(tmp_path / "out")]
+    assert main(["isolate", *args, f"{flag}={value}"]) == 2
+    got = repr(float(value))
+    assert capsys.readouterr().err == f"error: {flag}: expected {what}, got {got}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_leakfit_without_data_points(tmp_path, capsys):
