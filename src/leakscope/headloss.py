@@ -175,10 +175,9 @@ class PipeSet:
         sign of dh, so unlike total-minus-own no entry cancels a dominant pipe.
         """
         flows = [p.invert(dh) for p in self.pipes]
-        inlet = list(accumulate(flows, initial=0.0))
-        outlet = list(accumulate(reversed(flows), initial=0.0))
-        n = len(flows)
-        return tuple(inlet[i] + outlet[n - 1 - i] for i in range(n))
+        inlet = accumulate(flows, initial=0.0)  # entry i: pipes before i
+        outlet = list(accumulate(reversed(flows), initial=0.0))[::-1]  # i: from i on
+        return tuple(a + b for a, b in zip(inlet, outlet[1:]))
 
     def admittance_derivative_excluding(self, j: int, dh: float) -> float:
         """Slope of the admittance sum, via the inverse function rule."""
