@@ -22,6 +22,8 @@ from leakscope import (
     apparent_leak_flow,
     apparent_leak_head,
     candidate_position,
+    confusion_flow_curve,
+    estimate_outflow,
     fit_leak_function,
     isolate_by_leak_fit,
     residual,
@@ -82,6 +84,21 @@ def test_leak_fit_matches_apparent_leak_head_samples(n, per_pipe_h_y):
         key=lambda r: (r.negative_head, r.rmse, r.j),
     )
     assert isolate_by_leak_fit(pipes, data, candidates, h_y=h_y) == expected
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_confusion_residuals_match_outflow_definition(n):
+    pipes, leak, data = mixed_network(n)
+    nominal = data[0]
+    grid = [nominal.dh * s for s in (1.0, 1.1, 1.25, 0.9, 0.8)]
+    k, x = leak.k, leak.x
+    for cand in all_candidates(pipes, nominal):
+        i, x_i = cand.j, cand.x_j
+        curve = confusion_flow_curve(pipes, i, x_i, leak, grid, nominal.q_in)
+        for dh, q, res in zip(curve.dh_grid, curve.q_in_conf, curve.residual_trace):
+            assert res == abs(
+                estimate_outflow(pipes, k, x, dh, q) - estimate_outflow(pipes, i, x_i, dh, q)
+            )
 
 
 laws = st.one_of(
