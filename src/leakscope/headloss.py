@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator
 
 
 class UnboundedDerivativeError(ValueError):
@@ -148,27 +147,14 @@ class PipeSet:
             raise IndexError(f"pipe index {j} out of range 1..{self.n}")
         return self.pipes[j - 1]
 
-    def others(self, j: int) -> Iterator[HeadLossFn]:
-        self.pipe(j)  # range check
-        return (p for i, p in enumerate(self.pipes, start=1) if i != j)
-
     def admittance_excluding(self, j: int, dh: float) -> float:
-        """Total flow through all pipes except j at head loss dh.
-
-        The flows of the pipes before j are summed from the inlet side, those
-        after j from the outlet side, and the two partial sums are added:
-        the same additions in the same order as `admittances_excluding`.
-        """
+        """Total flow through all pipes except j at head loss dh."""
         self.pipe(j)  # range check
-        inlet = outlet = 0.0
-        for p in self.pipes[: j - 1]:
-            inlet += p.invert(dh)
-        for p in reversed(self.pipes[j:]):
-            outlet += p.invert(dh)
-        return inlet + outlet
+        return self.admittances_excluding(dh)[j - 1]
 
     def admittances_excluding(self, dh: float) -> tuple[float, ...]:
-        """`admittance_excluding(j, dh)` for every pipe j, in pipe order.
+        """Total flow through all pipes except j at head loss dh, for every
+        pipe j in pipe order.
 
         Each pipe is inverted once; entry j adds the prefix sum of the pipes
         before j to the suffix sum of the pipes after it. All flows share the
@@ -181,8 +167,9 @@ class PipeSet:
 
     def admittance_derivative_excluding(self, j: int, dh: float) -> float:
         """Slope of the admittance sum, via the inverse function rule."""
+        self.pipe(j)  # range check
         total = 0.0
-        for p in self.others(j):
+        for p in self.pipes[: j - 1] + self.pipes[j:]:
             try:
                 slope = p.derivative(p.invert(dh))
             except UnboundedDerivativeError:

@@ -86,6 +86,13 @@ def _candidate(U_j: HeadLossFn, j: int, G: float, d: DataPoint) -> LeakCandidate
     )
 
 
+def _outflow(U_j: HeadLossFn, x_j: float, G: float, dh: float, q_in: float) -> float:
+    """The pipe-j outflow implied by (dh, q_in), given the flow G through all
+    other pipes."""
+    head_out = dh / (1.0 - x_j) - (x_j / (1.0 - x_j)) * U_j.evaluate(q_in - G)
+    return U_j.invert(head_out) + G
+
+
 def candidate_position(pipes: PipeSet, j: int, d: DataPoint) -> float:
     """The unique x_j in (0,1) zeroing the pipe-j residual."""
     return _candidate(pipes.pipe(j), j, pipes.admittance_excluding(j, d.dh), d).x_j
@@ -101,10 +108,7 @@ def estimate_outflow(
     pipes: PipeSet, j: int, x_j: float, dh: float, q_in: float
 ) -> float:
     """Outflow implied by (dh, q_in) under the hypothesis (j, x_j)."""
-    U_j = pipes.pipe(j)
-    G = pipes.admittance_excluding(j, dh)
-    head_out = dh / (1.0 - x_j) - (x_j / (1.0 - x_j)) * U_j.evaluate(q_in - G)
-    return U_j.invert(head_out) + G
+    return _outflow(pipes.pipe(j), x_j, pipes.admittance_excluding(j, dh), dh, q_in)
 
 
 def residual_bar(pipes: PipeSet, j: int, x_j: float, d: DataPoint) -> float:

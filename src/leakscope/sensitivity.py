@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .headloss import PipeSet, UnboundedDerivativeError
 from .hydraulics import DataPoint, LeakSpec
-from .localization import estimate_outflow
+from .localization import _outflow
 from .rootfind import BracketError, bisect, expand_bracket
 
 
@@ -77,15 +77,6 @@ def residual_differential(
     return ResidualDifferential(d_dqin=d_dqin, d_ddh=d_ddh)
 
 
-def _confusion_mismatch(
-    pipes: PipeSet, i: int, x_i: float, k: int, x: float, dh: float, q_in: float
-) -> float:
-    # outflow the truth would produce, minus the outflow hypothesis i expects
-    return estimate_outflow(pipes, k, x, dh, q_in) - estimate_outflow(
-        pipes, i, x_i, dh, q_in
-    )
-
-
 def confusion_flow_curve(
     pipes: PipeSet,
     i: int,
@@ -103,13 +94,17 @@ def confusion_flow_curve(
     bisection fallback. Non-convergence is flagged per point, not fatal.
     """
     k, x = truth.k, truth.x
+    U_k, U_i = pipes.pipe(k), pipes.pipe(i)
     q_vals: list[float] = []
     residuals: list[float] = []
     flags: list[bool] = []
     seed = seed_qin
     for dh in dh_grid:
-        def f(q: float, dh=dh) -> float:
-            return _confusion_mismatch(pipes, i, x_i, k, x, dh, q)
+        G = pipes.admittances_excluding(dh)
+
+        def f(q: float, dh=dh, G_k=G[k - 1], G_i=G[i - 1]) -> float:
+            # outflow the truth would produce, minus the outflow hypothesis i expects
+            return _outflow(U_k, x, G_k, dh, q) - _outflow(U_i, x_i, G_i, dh, q)
 
         q, res, ok = _solve_point(f, seed, tol, max_iter)
         q_vals.append(q)

@@ -146,3 +146,19 @@ def test_leak_fit_inverts_each_pipe_once_per_point(count_inversions):
     count_inversions[0] = 0
     isolate_by_leak_fit(pipes, data, candidates)
     assert count_inversions[0] == pipes.n * len(data)
+
+
+def test_confusion_curve_forms_admittances_once_per_grid_point(monkeypatch):
+    pipes, leak, data = mixed_network(6)
+    nominal = data[0]
+    x_2 = all_candidates(pipes, nominal)[1].x_j
+    grid = [nominal.dh * s for s in (1.0, 1.1, 1.25, 0.9, 0.8)]
+    calls = [0]
+
+    def counted(self, dh, _admittances=PipeSet.admittances_excluding):
+        calls[0] += 1
+        return _admittances(self, dh)
+
+    monkeypatch.setattr(PipeSet, "admittances_excluding", counted)
+    confusion_flow_curve(pipes, 2, x_2, leak, grid, nominal.q_in)
+    assert calls[0] == len(grid)
