@@ -10,9 +10,7 @@ from pathlib import Path
 
 from . import localization, sensitivity
 from .hydraulics import NoRootError, measure, solve_leaky_state, sweep
-from .isolation import (
-    TooFewPointsError, apparent_leak_head, isolate_by_consistency, isolate_by_leak_fit,
-)
+from .isolation import TooFewPointsError, isolate_by_consistency, isolate_by_leak_fit
 from .scenario import Scenario, ScenarioError, parse_scenario, read_options
 from .sensitivity import confusion_flow_curve, detect_inherent_ambiguity
 
@@ -184,18 +182,16 @@ def _cmd_leakfit(sc: Scenario, out: Path) -> int:
         if sc.analysis.h_y is not None
         else 0.0
     )
-    sample_rows = []
-    for j in sorted(frozen):
-        for idx, d in enumerate(data):
-            sample_rows.append([
-                j, idx,
-                apparent_leak_head(sc.pipes, j, frozen[j], d),
-                d.q_in - d.q_out,
-            ])
-    _write_csv(
-        out / "leakfit_samples.csv", ["pipe", "index", "h_leak_j", "q_leak"], sample_rows
-    )
     fits = isolate_by_leak_fit(sc.pipes, data, frozen, h_y=h_y, eps_fit=sc.analysis.eps_fit)
+    _write_csv(
+        out / "leakfit_samples.csv",
+        ["pipe", "index", "h_leak_j", "q_leak"],
+        [
+            [r.j, idx, h_leak, q_leak]
+            for r in sorted(fits, key=lambda r: r.j)
+            for idx, (h_leak, q_leak) in enumerate(r.samples)
+        ],
+    )
     _write_csv(
         out / "leakfit_results.csv",
         ["rank", "pipe", "C", "beta", "rmse", "negative_head", "accepted"],

@@ -107,6 +107,7 @@ class LeakFitResult:
     rmse: float
     negative_head: bool
     accepted: bool
+    samples: tuple[tuple[float, float], ...]  # the (h_leak, q_leak) pairs fitted
 
 
 def fit_leak_function(
@@ -120,7 +121,7 @@ def fit_leak_function(
 
     Samples with non-positive pressure head are physically unreasonable
     (outflow against no pressure) and cause outright rejection. `j` is the
-    pipe the result is recorded for.
+    pipe the result is recorded for; the result keeps the samples.
     """
     if len(samples) < 3:
         raise ValueError(f"need at least 3 samples, got {len(samples)}")
@@ -129,7 +130,7 @@ def fit_leak_function(
     if any(h - h_y <= 0.0 for h, _ in samples):
         return LeakFitResult(
             j=j, C_j=math.nan, beta_j=math.nan, rmse=math.inf,
-            negative_head=True, accepted=False,
+            negative_head=True, accepted=False, samples=tuple(samples),
         )
     if any(q <= 0.0 for _, q in samples):
         raise ValueError("leak flows must be positive for a log-log fit")
@@ -144,7 +145,7 @@ def fit_leak_function(
     )
     return LeakFitResult(
         j=j, C_j=C, beta_j=beta, rmse=rmse,
-        negative_head=False, accepted=rmse <= eps_fit,
+        negative_head=False, accepted=rmse <= eps_fit, samples=tuple(samples),
     )
 
 
