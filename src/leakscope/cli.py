@@ -255,10 +255,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     sc = replace(sc, analysis=replace(sc.analysis, **overrides))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](sc, out)
-    except (ScenarioError, NoRootError, ValueError) as exc:
+    except (ScenarioError, NoRootError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -276,6 +276,21 @@ def test_leakfit_without_data_points(tmp_path, capsys):
     assert capsys.readouterr().err == "error: need at least 3 data points, got 0\n"
 
 
+@pytest.mark.parametrize("csv_is_directory", [False, True], ids=["out-is-file", "csv-is-directory"])
+def test_unwritable_out_named(tmp_path, capsys, csv_is_directory):
+    out = tmp_path / "out"
+    if csv_is_directory:
+        culprit = out / "simulate.csv"
+        culprit.mkdir(parents=True)
+    else:
+        culprit = out
+        out.write_text("")
+    assert run("simulate", bundled_scenario("example1"), out) == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: ") and str(culprit) in err_lines[0]
+
+
 def test_isolate_identical_pipes_ambiguous(tmp_path):
     assert run("isolate", bundled_scenario("identical-pipes"), tmp_path) == 0
     summary = (tmp_path / "isolate_summary.csv").read_text().splitlines()
