@@ -48,6 +48,11 @@ def mixed_network(n: int, seed: int = 0):
     return pipes, leak, simulate_data(pipes, leak, boundaries)
 
 
+def short_grid(nominal):
+    """Five head losses around a nominal point: the point, two above, two below."""
+    return [nominal.dh * s for s in (1.0, 1.1, 1.25, 0.9, 0.8)]
+
+
 @pytest.fixture(autouse=True)
 def _quiet_out_of_range_candidates():
     with warnings.catch_warnings():
@@ -90,7 +95,7 @@ def test_leak_fit_matches_apparent_leak_head_samples(n, per_pipe_h_y):
 def test_confusion_residuals_match_outflow_definition(n):
     pipes, leak, data = mixed_network(n)
     nominal = data[0]
-    grid = [nominal.dh * s for s in (1.0, 1.1, 1.25, 0.9, 0.8)]
+    grid = short_grid(nominal)
     k, x = leak.k, leak.x
     for cand in all_candidates(pipes, nominal):
         i, x_i = cand.j, cand.x_j
@@ -152,7 +157,7 @@ def test_confusion_curve_forms_admittances_once_per_grid_point(monkeypatch):
     pipes, leak, data = mixed_network(6)
     nominal = data[0]
     x_2 = all_candidates(pipes, nominal)[1].x_j
-    grid = [nominal.dh * s for s in (1.0, 1.1, 1.25, 0.9, 0.8)]
+    grid = short_grid(nominal)
     calls = [0]
 
     def counted(self, dh, _admittances=PipeSet.admittances_excluding):
