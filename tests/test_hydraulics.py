@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from leakscope import (
@@ -100,6 +102,22 @@ def test_solver_uniqueness_perturbed_bracket(example2):
         - leak.leak.flow(a.h_leak)
     )
     assert abs(f) <= 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="bisection stops at an absolute width of 1e-13, below one ulp at |h| >= 1000, "
+    "so it runs all 200 iterations",
+)
+@pytest.mark.parametrize("h_out", [1e3, 1e4, 1e6])
+def test_large_head_solve_stops_early(example1, monkeypatch, h_out):
+    pipes, leak, _ = example1
+    calls = []
+    flow = PowerLawLeak.flow
+    monkeypatch.setattr(PowerLawLeak, "flow", lambda self, h: calls.append(h) or flow(self, h))
+    state = solve_leaky_state(pipes, leak, h_out + 4.0, h_out)
+    assert len(calls) <= 40
+    check_state_invariants(pipes, leak, state, tol=4 * math.ulp(h_out))
 
 
 def test_monotone_leak_response(example2):
