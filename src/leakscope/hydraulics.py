@@ -2,7 +2,7 @@
 
 The coupled flow/head system reduces to one scalar equation in the head at
 the leak: the inflow section, outflow section and leak law must balance.
-That map is strictly decreasing in the leak head, so bisection on an
+That map is strictly decreasing in the leak head, so Brent's zeroin on an
 expanding bracket finds the unique solution.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .headloss import PipeSet
-from .rootfind import BracketError, bisect, expand_bracket
+from .rootfind import BracketError, brent, expand_bracket
 
 
 class NoRootError(RuntimeError):
@@ -133,7 +133,7 @@ def solve_leaky_state(
 
     lo, hi = min(h_in, h_out), max(h_in, h_out)
     try:
-        h_leak = bisect(mismatch, *expand_bracket(mismatch, lo, hi), xtol=1e-13)
+        h_leak = brent(mismatch, *expand_bracket(mismatch, lo, hi), xtol=1e-13)
     except BracketError as exc:
         raise NoRootError(f"no leak head balances the boundary heads: {exc}") from exc
 

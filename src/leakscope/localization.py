@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .headloss import HeadLossFn, PipeSet
 from .hydraulics import DataPoint
-from .rootfind import bisect, expand_bracket
+from .rootfind import brent, expand_bracket
 
 
 class NoLeakError(ValueError):
@@ -143,7 +143,7 @@ def complete_data_point(
         def f(h: float) -> float:
             return residual(pipes, j, x_j, DataPoint(p.h_in, h, p.q_in, p.q_out))
         seed = p.h_in
-    h = bisect(f, *expand_bracket(f, seed - 1.0, seed + 1.0), xtol=1e-11)
+    h = brent(f, *expand_bracket(f, seed - 1.0, seed + 1.0), xtol=1e-11)
     if missing == "h_in":
         return DataPoint(h, p.h_out, p.q_in, p.q_out)
     return DataPoint(p.h_in, h, p.q_in, p.q_out)

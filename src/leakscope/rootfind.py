@@ -1,8 +1,12 @@
-"""Bracketed bisection for monotone scalar equations."""
+"""Bracketed root finding for monotone scalar equations: Brent's zeroin."""
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import Callable
+
+EPS = sys.float_info.epsilon
 
 
 class BracketError(RuntimeError):
@@ -36,30 +40,62 @@ def expand_bracket(
     raise BracketError(f"no sign change in [{lo}, {hi}] after {max_expand} expansions")
 
 
-def bisect(
+def brent(
     f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    flo: float,
-    fhi: float,
+    a: float,
+    b: float,
+    fa: float,
+    fb: float,
     xtol: float = 1e-13,
     max_iter: int = 200,
 ) -> float:
-    """Bisection on [lo, hi] given flo = f(lo), fhi = f(hi), flo*fhi <= 0."""
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo < 0.0) == (fhi < 0.0):
-        raise BracketError(f"f({lo})={flo} and f({hi})={fhi} have the same sign")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0 or hi - lo <= xtol:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Brent's zeroin on [a, b] given fa = f(a), fb = f(b), fa*fb <= 0.
 
+    Inverse quadratic interpolation or a secant step where it stays well
+    inside the bracket, bisection otherwise (Brent 1973, ch. 4). Stops when
+    the bracket's half-width is at most 2 eps |b| + xtol/2, so the root lies
+    within xtol + 4 eps |b| of the returned b.
+    """
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa < 0.0) == (fb < 0.0):
+        raise BracketError(f"f({a})={fa} and f({b})={fb} have the same sign")
+    # b is the best estimate, c the other end of the bracket, a the previous b
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(max_iter):
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * EPS * abs(b) + 0.5 * xtol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m  # the last step was tiny or did not shrink |f|: bisect
+        else:
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic through a, b, c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            # accept the step only if it lands inside the bracket and halves
+            # the step before last; else bisect
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        if (fb < 0.0) == (fc < 0.0) and fb != 0.0:
+            c, fc = a, fa
+            d = e = b - a
+    return b

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .headloss import PipeSet, UnboundedDerivativeError
 from .hydraulics import DataPoint, LeakSpec
 from .localization import _outflow
-from .rootfind import BracketError, bisect, expand_bracket
+from .rootfind import BracketError, brent, expand_bracket
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,9 @@ def confusion_flow_curve(
     """Continuation along dh_grid: at each head loss, solve for the inflow
     that keeps the pipe-i residual at zero under the true leak hypothesis.
 
-    Damped Newton seeded by the previous grid point, with a bracketed
-    bisection fallback. Non-convergence is flagged per point, not fatal.
+    Damped Newton seeded by the previous grid point, with Brent's zeroin on
+    an expanding bracket as the fallback. Non-convergence is flagged per
+    point, not fatal.
     """
     k, x = truth.k, truth.x
     U_k, U_i = pipes.pipe(k), pipes.pipe(i)
@@ -148,7 +149,7 @@ def _solve_point(f, seed: float, tol: float, max_iter: int) -> tuple[float, floa
     width = max(1.0, abs(seed))
     try:
         bracket = expand_bracket(f, seed - width, seed + width, max_expand=30)
-        q = bisect(f, *bracket, xtol=1e-13)
+        q = brent(f, *bracket, xtol=1e-13)
         fq = f(q)
     except BracketError:
         pass
