@@ -125,18 +125,11 @@ class PipeSet:
     """
 
     pipes: tuple[HeadLossFn, ...]
-    lengths: tuple[float, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "pipes", tuple(self.pipes))
         if len(self.pipes) < 1:
             raise ValueError("need at least one pipe")
-        if self.lengths is not None:
-            object.__setattr__(self, "lengths", tuple(self.lengths))
-            if len(self.lengths) != len(self.pipes):
-                raise ValueError("lengths must match number of pipes")
-            if any(L <= 0 for L in self.lengths):
-                raise ValueError("pipe lengths must be positive")
 
     @property
     def n(self) -> int:

@@ -93,6 +93,13 @@ def _numbers(values, path: str, problems: list[str], rule=FINITE, n: int | None 
     return None if None in out else out
 
 
+def _known(obj: dict, path: str, problems: list[str], keys) -> None:
+    """Record "<path>.<key>: unknown key" for every key of `obj` outside
+    `keys`; a misspelt key would otherwise run with the default value."""
+    prefix = f"{path}." if path else ""
+    problems.extend(f"{prefix}{key}: unknown key" for key in obj if key not in keys)
+
+
 def _object(obj, path: str, problems: list[str], table: dict):
     """Build `constructor(**fields)` for the entry of `table` that the
     object's "type" names; None after recording the problems."""
@@ -104,6 +111,7 @@ def _object(obj, path: str, problems: list[str], table: dict):
         problems.append(f"{path}.type: expected one of {', '.join(table)}, got {kind!r}")
         return None
     constructor, fields = table[kind]
+    _known(obj, path, problems, {"type", *fields})
     kwargs = {
         name: _number(obj.get(name), f"{path}.{name}", problems, rule)
         for name, rule in fields.items()
@@ -125,6 +133,7 @@ def read_options(values: dict, path, problems: list[str]) -> dict:
 
 def _range(obj: dict, path: str, problems: list[str]) -> tuple[float, ...]:
     """`steps` evenly spaced values from `from` to `to` inclusive."""
+    _known(obj, path, problems, ("from", "to", "steps"))
     lo = _number(obj.get("from"), f"{path}.from", problems)
     hi = _number(obj.get("to"), f"{path}.to", problems)
     steps = _number(obj.get("steps"), f"{path}.steps", problems, STEPS)
@@ -141,6 +150,7 @@ def _boundary(obj, problems: list[str]) -> list[tuple[float, float]]:
     if not isinstance(obj, dict):
         problems.append(f"boundary: expected a list of pairs or a range spec, got {obj!r}")
         return []
+    _known(obj, "boundary", problems, ("h_in", "h_out"))
     h_in, h_out = obj.get("h_in"), obj.get("h_out")
     if isinstance(h_in, dict) == isinstance(h_out, dict):
         problems.append("boundary: exactly one of h_in/h_out must be a range")
@@ -157,6 +167,7 @@ def load_scenario(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError([f"scenario: expected an object, got {doc!r}"])
     problems: list[str] = []
+    _known(doc, "", problems, ("pipes", "leak", "boundary", "analysis"))
 
     pipe_objs = doc.get("pipes")
     if not isinstance(pipe_objs, list) or not pipe_objs:
@@ -165,12 +176,9 @@ def load_scenario(doc: dict) -> Scenario:
     n = len(pipe_objs) or None
     pipes = [_object(p, f"pipes[{i}]", problems, _PIPE_TYPES) for i, p in enumerate(pipe_objs)]
 
-    lengths = doc.get("lengths")
-    if lengths is not None:
-        lengths = _numbers(lengths, "lengths", problems, POSITIVE, n)
-
     leak = doc.get("leak")
     if isinstance(leak, dict):
+        _known(leak, "leak", problems, ("k", "x", "fn"))
         k = _number(leak.get("k"), "leak.k", problems, _integer(1, n or math.inf))
         x = _number(leak.get("x"), "leak.x", problems, UNIT_OPEN)
         fn = _object(leak.get("fn"), "leak.fn", problems, _LEAK_TYPES)
@@ -183,6 +191,7 @@ def load_scenario(doc: dict) -> Scenario:
     if not isinstance(a, dict):
         problems.append(f"analysis: expected an object, got {a!r}")
         a = {}
+    _known(a, "analysis", problems, {*_OPTION_RULES, "dh_grid", "h_y"})
     options = read_options(a, lambda name: f"analysis.{name}", problems)
     dh_grid = a.get("dh_grid")
     if isinstance(dh_grid, dict):
@@ -195,7 +204,7 @@ def load_scenario(doc: dict) -> Scenario:
     if problems:
         raise ScenarioError(problems)
     return Scenario(
-        pipes=PipeSet(pipes=tuple(pipes), lengths=lengths),
+        pipes=PipeSet(pipes=tuple(pipes)),
         leak=LeakSpec(k=int(k), x=x, leak=fn),
         boundary=tuple(boundary),
         analysis=AnalysisOptions(**options),

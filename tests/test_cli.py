@@ -83,7 +83,7 @@ class TestScenarioParsing:
             (("pipes", 0), 3, "pipes[0]"),
             (("pipes", 0), {"type": "signed_quadratic", "c": NAN}, "pipes[0].c"),
             (("pipes", 0), {"type": ["linear"], "R": 0.1}, "pipes[0].type"),
-            (("lengths",), ["abc", 1.0, 1.0], "lengths[0]"),
+            (("lengths",), [100.0, 100.0, 120.0], "lengths"),
             (("leak", "x"), "abc", "leak.x"),
             (("leak", "k"), 2.7, "leak.k"),
             (("leak", "fn"), {"type": "power_law_leak", "C": None, "beta": 0.5}, "leak.fn.C"),
@@ -93,11 +93,19 @@ class TestScenarioParsing:
             (("analysis",), {"h_y": [0.0]}, "analysis.h_y"),
             (("analysis",), [], "analysis"),
             ((), [], "scenario"),
+            (("analysis", "eps_sprad"), 0.5, "analysis.eps_sprad"),
+            (("leak", "X"), 0.9, "leak.X"),
+            (("leak", "fn"), {"type": "power_law_leak", "C": 1.0, "beta": 0.5, "hy": 2.0},
+             "leak.fn.hy"),
+            (("pipes", 1, "R"), 0.1, "pipes[1].R"),
+            (("boundary", "h_in", "step"), 100, "boundary.h_in.step"),
         ],
         ids=[
             "non-numeric", "non-object", "nan", "list-type", "lengths", "leak-x",
             "fractional-k", "null-C", "nan-C", "boundary-pair", "zero-steps",
-            "short-h_y", "list-analysis", "list-document",
+            "short-h_y", "list-analysis", "list-document", "unknown-option",
+            "unknown-leak-key", "unknown-leak-fn-key", "unknown-pipe-key",
+            "unknown-range-key",
         ],
     )
     def test_bad_pipe_named(self, tmp_path, capsys, keys, value, path):
@@ -146,7 +154,7 @@ class TestScenarioParsing:
 # JSON-like values; dictionary keys and strings are often the scenario's own
 # field and type names, so generated objects reach past the top level
 NAMES = st.sampled_from([
-    "pipes", "lengths", "leak", "boundary", "analysis", "type", "c", "R", "gamma",
+    "pipes", "leak", "boundary", "analysis", "type", "c", "R", "gamma",
     "k", "x", "fn", "C", "beta", "h_y", "q_leak", "h_in", "h_out", "from", "to",
     "steps", "eps_spread", "eps_fit", "nominal_dh", "dh_grid", "linear", "power_law",
     "signed_quadratic", "quadratic_plus_linear", "power_law_leak", "fixed_demand", "sqrt",
@@ -158,8 +166,44 @@ JSON = st.recursive(
     max_leaves=16,
 )
 EXAMPLE1 = json.loads(bundled_scenario("example1").read_text())
-DOCUMENTS = JSON | st.dictionaries(st.sampled_from(sorted(EXAMPLE1)), JSON).map(
-    lambda replaced: {**EXAMPLE1, **replaced}
+
+# (path, keys from the document down to the object, the keys it defines)
+# for each object reader example1 reaches
+READERS = [
+    ("", (), {"pipes", "leak", "boundary", "analysis"}),
+    ("pipes[0]", ("pipes", 0), {"type", "c"}),
+    ("leak", ("leak",), {"k", "x", "fn"}),
+    ("leak.fn", ("leak", "fn"), {"type"}),
+    ("analysis", ("analysis",), {"eps_spread", "eps_fit", "nominal_dh", "dh_grid", "h_y"}),
+    ("boundary", ("boundary",), {"h_in", "h_out"}),
+    ("boundary.h_in", ("boundary", "h_in"), {"from", "to", "steps"}),
+]
+
+
+@st.composite
+def unknown_keys(draw):
+    """example1 with keys its object does not define put into one object,
+    and the problems that must name them."""
+    path, keys, known = draw(st.sampled_from(READERS))
+    extra = draw(st.dictionaries(
+        (NAMES | st.text(max_size=4)).filter(lambda key: key not in known),
+        JSON, min_size=1, max_size=3,
+    ))
+    doc = json.loads(json.dumps(EXAMPLE1))
+    target = doc
+    for key in keys:
+        target = target[key]
+    target.update(extra)
+    prefix = f"{path}." if path else ""
+    return doc, [f"{prefix}{key}: unknown key" for key in extra]
+
+
+DOCUMENTS = (
+    JSON
+    | st.dictionaries(st.sampled_from(sorted(EXAMPLE1)), JSON).map(
+        lambda replaced: {**EXAMPLE1, **replaced}
+    )
+    | unknown_keys().map(lambda case: case[0])
 )
 
 
@@ -170,7 +214,20 @@ def test_any_document_loads_or_names_a_path(doc):
         assert isinstance(load_scenario(doc), Scenario)
     except ScenarioError as exc:
         assert exc.problems
-        assert all(re.match(r"[\w.\[\]]+: ", problem) for problem in exc.problems)
+        # an unknown key is named as written, whatever its characters
+        assert all(
+            re.match(r"[\w.\[\]]+: ", problem) or problem.endswith(": unknown key")
+            for problem in exc.problems
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=unknown_keys())
+def test_unknown_keys_named(case):
+    doc, expected = case
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert set(expected) <= set(err.value.problems)
 
 
 def test_candidates_example1_pattern(tmp_path):

@@ -174,7 +174,3 @@ class TestAdmittance:
 def test_pipeset_validation():
     with pytest.raises(ValueError):
         PipeSet(())
-    with pytest.raises(ValueError):
-        PipeSet((Linear(0.1),), lengths=(1.0, 2.0))
-    with pytest.raises(ValueError):
-        PipeSet((Linear(0.1),), lengths=(-1.0,))
