@@ -86,8 +86,8 @@ def brent(
             if p > 0.0:
                 q = -q
             p = abs(p)
-            # accept the step only if it lands inside the bracket and halves
-            # the step before last; else bisect
+            # take the step only if it lands less than 3/4 of the way to c and
+            # is under half the step before last; else bisect
             if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
                 e, d = d, p / q
             else:
