@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 
@@ -384,3 +385,51 @@ def test_headers_pinned(tmp_path):
         assert text.splitlines()[0] == header, filename
         produced[filename] = True
     assert len(produced) == len(HEADERS)
+
+
+def _unreachable_leak(tmp_path, boundary):
+    """example2 with a leak elevation some of `boundary` cannot reach."""
+    doc = json.loads(bundled_scenario("example2").read_text())
+    doc["leak"]["fn"] = {"type": "power_law_leak", "C": 1.0, "beta": 0.5, "h_y": 3.3}
+    doc["boundary"] = boundary
+    doc["analysis"]["nominal_dh"] = 7.0
+    doc["analysis"]["dh_grid"] = {"from": 3.0, "to": 9.0, "steps": 7}
+    path = tmp_path / "unreachable.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _error_rows(path):
+    """The rows of a CSV, and those blank up to a non-empty error column."""
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    assert header[-1] == "error"
+    rows = [next(csv.reader([line])) for line in lines[1:]]
+    assert all(len(row) == len(header) for row in rows)
+    errors = [row for row in rows if row[-1]]
+    for row in errors:
+        assert "does not exceed the leak elevation 3.3" in row[-1]
+        # the boundary columns stay; the solved ones are blank
+        width = 3 if header[0] == "dh" else 4
+        assert all(row[:width]) and not any(row[width:-1])
+    return rows, errors
+
+
+@pytest.mark.parametrize("command", ["simulate", "candidates"])
+@pytest.mark.parametrize(
+    "boundary,rows,failed,code",
+    [([[5, 1], [3, 1], [8, 1]], 3, 2, 0), ([[5, 1], [3, 1]], 2, 2, 1)],
+    ids=["some-fail", "all-fail"],
+)
+def test_failed_solve_is_an_error_row(tmp_path, command, boundary, rows, failed, code):
+    path = _unreachable_leak(tmp_path, boundary)
+    assert run(command, path, tmp_path / "out") == code
+    got, errors = _error_rows(tmp_path / "out" / f"{command}.csv")
+    assert (len(got), len(errors)) == (rows, failed)
+
+
+def test_residual_sweep_failed_solves_are_error_rows(tmp_path):
+    path = _unreachable_leak(tmp_path, [[8, 1]])
+    assert run("residual-sweep", path, tmp_path / "out") == 0
+    got, errors = _error_rows(tmp_path / "out" / "residual_sweep.csv")
+    assert (len(got), len(errors)) == (7, 4)
