@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from bisect import bisect_left
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,16 +34,22 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_rows(path: Path, header: list[str], prefixes: list[list], cells) -> bool:
-    """Write one row per prefix: the prefix, `cells(*prefix)` and an empty
-    error column. A row whose cells raise NoRootError or ValueError keeps
-    its prefix, is blank up to the error column and carries the message
-    there. Returns whether any row succeeded."""
+def _write_rows(
+    sc: Scenario, path: Path, header: list[str], prefixes: list[list], cells
+) -> bool:
+    """Write one row per prefix, whose entries 1 and 2 are h_in and h_out:
+    the prefix, the measured q_in and q_out, `cells(state, d)` for the solved
+    state and its data point, and an empty error column. A row whose solve
+    or cells raise NoRootError or ValueError keeps its prefix, is blank up to
+    the error column and carries the message there. Returns whether any row
+    succeeded."""
     rows = []
     any_ok = False
     for prefix in prefixes:
         try:
-            rows.append(prefix + cells(*prefix) + [None])
+            state = solve_leaky_state(sc.pipes, sc.leak, prefix[1], prefix[2])
+            d = measure(state, sc.pipes, sc.leak)
+            rows.append(prefix + [d.q_in, d.q_out] + cells(state, d) + [None])
             any_ok = True
         except (NoRootError, ValueError) as exc:
             rows.append(prefix + [None] * (len(header) - len(prefix) - 1) + [str(exc)])
@@ -50,48 +57,41 @@ def _write_rows(path: Path, header: list[str], prefixes: list[list], cells) -> b
     return any_ok
 
 
-def _boundary_prefixes(sc: Scenario) -> list[list]:
-    return [
+def _boundary_rows(sc: Scenario, path: Path, columns: list[str], cells) -> int:
+    """One row per boundary pair; exits 1 when every pair fails."""
+    header = ["index", "h_in", "h_out", "dh", "q_in", "q_out", *columns, "error"]
+    prefixes = [
         [idx, h_in, h_out, h_in - h_out] for idx, (h_in, h_out) in enumerate(sc.boundary)
     ]
+    any_ok = _write_rows(sc, path, header, prefixes, cells)
+    return 0 if any_ok or not sc.boundary else 1
 
 
 def _cmd_simulate(sc: Scenario, out: Path) -> int:
-    header = [
-        "index", "h_in", "h_out", "dh", "q_in", "q_out",
-        "h_leak", "q_leak", "q_in_k", "q_out_k", "error",
-    ]
-
-    def cells(idx, h_in, h_out, dh):
-        state = solve_leaky_state(sc.pipes, sc.leak, h_in, h_out)
-        d = measure(state, sc.pipes, sc.leak)
-        return [d.q_in, d.q_out, state.h_leak, state.q_leak, state.q_in_k, state.q_out_k]
-
-    any_ok = _write_rows(out / "simulate.csv", header, _boundary_prefixes(sc), cells)
-    return 0 if any_ok or not sc.boundary else 1
+    return _boundary_rows(
+        sc, out / "simulate.csv", ["h_leak", "q_leak", "q_in_k", "q_out_k"],
+        lambda state, d: [state.h_leak, state.q_leak, state.q_in_k, state.q_out_k],
+    )
 
 
 def _cmd_candidates(sc: Scenario, out: Path) -> int:
-    n = sc.pipes.n
-    header = ["index", "h_in", "h_out", "dh", "q_in", "q_out"] + [
-        f"x_{j}" for j in range(1, n + 1)
-    ] + ["error"]
-
-    def cells(idx, h_in, h_out, dh):
-        d = measure(solve_leaky_state(sc.pipes, sc.leak, h_in, h_out), sc.pipes, sc.leak)
-        return [d.q_in, d.q_out] + [c.x_j for c in localization.all_candidates(sc.pipes, d)]
-
-    any_ok = _write_rows(out / "candidates.csv", header, _boundary_prefixes(sc), cells)
-    return 0 if any_ok or not sc.boundary else 1
+    return _boundary_rows(
+        sc, out / "candidates.csv", [f"x_{j}" for j in range(1, sc.pipes.n + 1)],
+        lambda state, d: [c.x_j for c in localization.all_candidates(sc.pipes, d)],
+    )
 
 
 def _nominal_point(sc: Scenario):
+    """The nominal data point, its candidate per pipe in pipe order (frozen
+    for the analysis commands), and the outlet head it was solved at."""
     nominal_dh = sc.analysis.nominal_dh
     if nominal_dh is None:
         raise ScenarioError(["analysis.nominal_dh (or --nominal-dh) is required"])
     h_out = sc.boundary[0][1] if sc.boundary else 1.0
     state = solve_leaky_state(sc.pipes, sc.leak, h_out + nominal_dh, h_out)
-    return measure(state, sc.pipes, sc.leak), h_out, nominal_dh
+    d = measure(state, sc.pipes, sc.leak)
+    frozen = [c.x_j for c in localization.all_candidates(sc.pipes, d)]
+    return d, frozen, h_out
 
 
 def _dh_grid(sc: Scenario):
@@ -101,47 +101,40 @@ def _dh_grid(sc: Scenario):
 
 
 def _cmd_residual_sweep(sc: Scenario, out: Path) -> int:
-    nominal, h_out, _ = _nominal_point(sc)
-    frozen = {c.j: c.x_j for c in localization.all_candidates(sc.pipes, nominal)}
-    n = sc.pipes.n
+    _, frozen, h_out = _nominal_point(sc)
     header = ["dh", "h_in", "h_out", "q_in", "q_out"] + [
-        f"rbar_{j}" for j in range(1, n + 1)
+        f"rbar_{j}" for j in range(1, sc.pipes.n + 1)
     ] + ["error"]
 
-    def cells(dh, h_in, h_out):
-        d = measure(solve_leaky_state(sc.pipes, sc.leak, h_in, h_out), sc.pipes, sc.leak)
-        return [d.q_in, d.q_out] + [
-            localization.residual_bar(sc.pipes, j, frozen[j], d) for j in range(1, n + 1)
+    def cells(state, d):
+        return [
+            localization.residual_bar(sc.pipes, j, x_j, d)
+            for j, x_j in enumerate(frozen, start=1)
         ]
 
     prefixes = [[dh, h_out + dh, h_out] for dh in _dh_grid(sc)]
-    any_ok = _write_rows(out / "residual_sweep.csv", header, prefixes, cells)
+    any_ok = _write_rows(sc, out / "residual_sweep.csv", header, prefixes, cells)
     return 0 if any_ok else 1
 
 
 def _cmd_confusion(sc: Scenario, out: Path) -> int:
-    nominal, h_out, nominal_dh = _nominal_point(sc)
-    frozen = {c.j: c.x_j for c in localization.all_candidates(sc.pipes, nominal)}
+    """Each pipe's curve is continued from the nominal point outward, up the
+    grid from nominal_dh and down it below; rows come in grid order."""
+    nominal, frozen, _ = _nominal_point(sc)
     grid = sorted(_dh_grid(sc))
-    upper = [dh for dh in grid if dh >= nominal_dh]
-    lower = [dh for dh in grid if dh < nominal_dh][::-1]
-    header = ["pipe", "dh", "q_in_conf", "residual", "converged"]
+    split = bisect_left(grid, sc.analysis.nominal_dh)
+
+    def curve_rows(i: int, x_i: float, part: list[float]) -> list[list]:
+        curve = confusion_flow_curve(sc.pipes, i, x_i, sc.leak, part, seed_qin=nominal.q_in)
+        return [
+            [i, *point]
+            for point in zip(part, curve.q_in_conf, curve.residual_trace, curve.converged)
+        ]
+
     rows = []
-    for i in range(1, sc.pipes.n + 1):
-        per_dh = {}
-        for part in (upper, lower):
-            if not part:
-                continue
-            curve = confusion_flow_curve(
-                sc.pipes, i, frozen[i], sc.leak, part, seed_qin=nominal.q_in
-            )
-            for dh, q, res, ok in zip(
-                curve.dh_grid, curve.q_in_conf, curve.residual_trace, curve.converged
-            ):
-                per_dh[dh] = (q, res, ok)
-        for dh in grid:
-            q, res, ok = per_dh[dh]
-            rows.append([i, dh, q, res, ok])
+    for i, x_i in enumerate(frozen, start=1):
+        rows += curve_rows(i, x_i, grid[:split][::-1])[::-1] + curve_rows(i, x_i, grid[split:])
+    header = ["pipe", "dh", "q_in_conf", "residual", "converged"]
     _write_csv(out / "confusion.csv", header, rows)
     return 0
 

@@ -38,20 +38,15 @@ class PartialDataPoint:
     q_out: float | None = None
 
     def __post_init__(self):
-        missing = [
-            name
-            for name in ("h_in", "h_out", "q_in", "q_out")
-            if getattr(self, name) is None
-        ]
-        if len(missing) != 1:
-            raise ValueError(f"exactly one field must be missing, got {missing}")
+        self.missing  # raises unless exactly one reading is None
 
     @property
     def missing(self) -> str:
-        for name in ("h_in", "h_out", "q_in", "q_out"):
-            if getattr(self, name) is None:
-                return name
-        raise AssertionError
+        """The name of the one sensor without a reading."""
+        missing = [name for name, value in vars(self).items() if value is None]
+        if len(missing) != 1:
+            raise ValueError(f"exactly one field must be missing, got {missing}")
+        return missing[0]
 
 
 def residual(pipes: PipeSet, j: int, x_j: float, d: DataPoint) -> float:
@@ -126,24 +121,17 @@ def complete_data_point(
     """
     if not 0.0 < x_j < 1.0:
         raise ValueError(f"x_j must be in (0,1), got {x_j}")
+    values = dict(vars(p))
     missing = p.missing
     if missing == "q_out":
-        q_out = estimate_outflow(pipes, j, x_j, p.h_in - p.h_out, p.q_in)
-        return DataPoint(p.h_in, p.h_out, p.q_in, q_out)
-    if missing == "q_in":
+        values["q_out"] = estimate_outflow(pipes, j, x_j, p.h_in - p.h_out, p.q_in)
+    elif missing == "q_in":
         # the same residual read from the outlet end: x_j -> 1 - x_j, q_in <-> q_out
-        q_in = estimate_outflow(pipes, j, 1.0 - x_j, p.h_in - p.h_out, p.q_out)
-        return DataPoint(p.h_in, p.h_out, q_in, p.q_out)
+        values["q_in"] = estimate_outflow(pipes, j, 1.0 - x_j, p.h_in - p.h_out, p.q_out)
+    else:
+        def f(h: float) -> float:
+            return residual(pipes, j, x_j, DataPoint(**{**values, missing: h}))
 
-    if missing == "h_in":
-        def f(h: float) -> float:
-            return residual(pipes, j, x_j, DataPoint(h, p.h_out, p.q_in, p.q_out))
-        seed = p.h_out
-    else:  # h_out
-        def f(h: float) -> float:
-            return residual(pipes, j, x_j, DataPoint(p.h_in, h, p.q_in, p.q_out))
-        seed = p.h_in
-    h = brent(f, *expand_bracket(f, seed - 1.0, seed + 1.0), xtol=1e-11)
-    if missing == "h_in":
-        return DataPoint(h, p.h_out, p.q_in, p.q_out)
-    return DataPoint(p.h_in, h, p.q_in, p.q_out)
+        seed = p.h_out if missing == "h_in" else p.h_in
+        values[missing] = brent(f, *expand_bracket(f, seed - 1.0, seed + 1.0), xtol=1e-11)
+    return DataPoint(**values)
