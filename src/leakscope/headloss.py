@@ -18,7 +18,6 @@ class UnboundedDerivativeError(ValueError):
     """The loss law has no finite derivative at the requested flow."""
 
 
-@dataclass(frozen=True)
 class HeadLossFn:
     """Base class for odd, strictly increasing flow -> head-loss laws.
 
@@ -26,10 +25,6 @@ class HeadLossFn:
     `shape_key`, a canonical shape identifier: two laws with equal keys
     differ by a positive constant factor.
     """
-
-    def zero_flow_resistance(self) -> float:
-        """Slope at q=0 (the no-leak, no-flow resistance)."""
-        return self.derivative(0.0)
 
     def is_linear(self) -> bool:
         return False

@@ -7,6 +7,7 @@ import sys
 from typing import Callable
 
 EPS = sys.float_info.epsilon
+MAX_ITER = 200  # zeroin steps before brent returns its current estimate
 
 
 class BracketError(RuntimeError):
@@ -21,10 +22,8 @@ def expand_bracket(
 ) -> tuple[float, float, float, float]:
     """Grow [lo, hi] outward by doubling steps until f changes sign.
 
-    Returns (lo, hi, f(lo), f(hi)) with f(lo)*f(hi) <= 0.
+    Requires lo < hi. Returns (lo, hi, f(lo), f(hi)) with f(lo)*f(hi) <= 0.
     """
-    if lo > hi:
-        lo, hi = hi, lo
     flo, fhi = f(lo), f(hi)
     step = max(hi - lo, 1.0)
     for _ in range(max_expand):
@@ -47,7 +46,6 @@ def brent(
     fa: float,
     fb: float,
     xtol: float = 1e-13,
-    max_iter: int = 200,
 ) -> float:
     """Brent's zeroin on [a, b] given fa = f(a), fb = f(b), fa*fb <= 0.
 
@@ -65,7 +63,7 @@ def brent(
     # b is the best estimate, c the other end of the bracket, a the previous b
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb

@@ -15,6 +15,9 @@ from .hydraulics import DataPoint, LeakSpec
 from .localization import _outflow
 from .rootfind import BracketError, brent, expand_bracket
 
+CURVE_TOL = 1e-10  # |residual| at which a confusion-curve point has converged
+CURVE_MAX_ITER = 100  # damped Newton steps per point before the bracketed fallback
+
 
 @dataclass(frozen=True)
 class SectionResistances:
@@ -58,7 +61,7 @@ def section_resistances(
     return SectionResistances(
         R_in=x_i * U_i.derivative(d.q_in - G),
         R_out=(1.0 - x_i) * U_i.derivative(d.q_out - G),
-        R_0=U_i.zero_flow_resistance(),
+        R_0=U_i.derivative(0.0),
     )
 
 
@@ -84,8 +87,6 @@ def confusion_flow_curve(
     truth: LeakSpec,
     dh_grid: list[float],
     seed_qin: float,
-    tol: float = 1e-10,
-    max_iter: int = 100,
 ) -> ConfusionFlowCurve:
     """Continuation along dh_grid: at each head loss, solve for the inflow
     that keeps the pipe-i residual at zero under the true leak hypothesis.
@@ -107,7 +108,7 @@ def confusion_flow_curve(
             # outflow the truth would produce, minus the outflow hypothesis i expects
             return _outflow(U_k, x, G_k, dh, q) - _outflow(U_i, x_i, G_i, dh, q)
 
-        q, res, ok = _solve_point(f, seed, tol, max_iter)
+        q, res, ok = _solve_point(f, seed)
         q_vals.append(q)
         residuals.append(abs(res))
         flags.append(ok)
@@ -122,11 +123,11 @@ def confusion_flow_curve(
     )
 
 
-def _solve_point(f, seed: float, tol: float, max_iter: int) -> tuple[float, float, bool]:
+def _solve_point(f, seed: float) -> tuple[float, float, bool]:
     q = seed
     fq = f(q)
-    for _ in range(max_iter):
-        if abs(fq) <= tol:
+    for _ in range(CURVE_MAX_ITER):
+        if abs(fq) <= CURVE_TOL:
             return q, fq, True
         step = 1e-6 * max(1.0, abs(q))
         slope = (f(q + step) - f(q - step)) / (2.0 * step)
@@ -143,7 +144,7 @@ def _solve_point(f, seed: float, tol: float, max_iter: int) -> tuple[float, floa
             delta *= 0.5
         else:
             break
-    if abs(fq) <= tol:
+    if abs(fq) <= CURVE_TOL:
         return q, fq, True
     # bracketed fallback around the seed
     width = max(1.0, abs(seed))
@@ -153,7 +154,7 @@ def _solve_point(f, seed: float, tol: float, max_iter: int) -> tuple[float, floa
         fq = f(q)
     except BracketError:
         pass
-    return q, fq, abs(fq) <= tol
+    return q, fq, abs(fq) <= CURVE_TOL
 
 
 @dataclass(frozen=True)
