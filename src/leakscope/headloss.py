@@ -48,9 +48,11 @@ class QuadraticPlusLinear(HeadLossFn):
         return self.c * (q * abs(q) + q)
 
     def invert(self, h: float) -> float:
-        # for h >= 0 solve q^2 + q - h/c = 0, positive branch; odd extension
+        # for h >= 0 solve q^2 + q - h/c = 0, positive branch; odd extension.
+        # a / (1/2 + sqrt(1/4 + a)) is (-1 + sqrt(1 + 4a)) / 2 without its
+        # cancellation at small a, and it does not overflow at large a
         a = abs(h) / self.c
-        q = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * a))
+        q = a / (0.5 + math.sqrt(0.25 + a))
         return math.copysign(q, h)
 
     def derivative(self, q: float) -> float:

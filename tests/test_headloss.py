@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +23,7 @@ ALL_LAWS = {
     "PowerLaw(c=0.7, gamma=1.85)": PowerLaw(0.7, 1.85),
     "PowerLaw(c=1.3, gamma=0.6)": PowerLaw(1.3, 0.6),
 }
+EPS = sys.float_info.epsilon
 law_params = pytest.mark.parametrize("law", list(ALL_LAWS.values()), ids=list(ALL_LAWS))
 
 
@@ -91,6 +93,18 @@ def test_linear_general_formulas_exact(q, c):
 @given(q=st.floats(-100.0, 100.0))
 def test_inversion_round_trip(law, q):
     assert law.invert(law.evaluate(q)) == pytest.approx(q, abs=1e-10 * max(1.0, abs(q)))
+
+
+@given(
+    q=st.floats(-12.0, 6.0).map(lambda e: 10.0**e),
+    negative=st.booleans(),
+    c=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+)
+def test_quadratic_plus_linear_round_trip_relative(q, negative, c):
+    # small flows keep their relative accuracy: no cancellation in invert
+    q = -q if negative else q
+    law = QuadraticPlusLinear(c)
+    assert abs(law.invert(law.evaluate(q)) - q) <= 4 * EPS * abs(q)
 
 
 @law_params
