@@ -58,7 +58,7 @@ def _write_rows(
 
 
 def _boundary_rows(sc: Scenario, path: Path, columns: list[str], cells) -> int:
-    """One row per boundary pair; exits 1 when every pair fails."""
+    """One row per boundary pair; the exit code is 1 when every pair fails."""
     header = ["index", "h_in", "h_out", "dh", "q_in", "q_out", *columns, "error"]
     prefixes = [
         [idx, h_in, h_out, h_in - h_out] for idx, (h_in, h_out) in enumerate(sc.boundary)
