@@ -16,6 +16,7 @@ from leakscope import (
     solve_leaky_state,
     sweep,
 )
+from test_kernel import mixed_network
 
 
 def check_state_invariants(pipes, leak, state, tol=1e-10):
@@ -69,6 +70,26 @@ def test_measure_mass_balance(example2):
     state = solve_leaky_state(pipes, leak, 5.0, 1.0)
     d = measure(state, pipes, leak)
     assert d.q_in - d.q_out == pytest.approx(state.q_leak, abs=1e-12)
+
+
+@pytest.mark.parametrize("network", ["example2", "mixed-5"])
+def test_measure_adds_the_parallel_flow(request, network):
+    # the sensors read the leaking pipe's section flows plus the flow of the
+    # other pipes at the state's head loss, summed left to right
+    if network == "example2":
+        pipes, leak = request.getfixturevalue("example2")
+    else:
+        pipes, leak, _ = mixed_network(5)
+    for h_in in (1.0, 1.5, 3.0, 5.0, 9.0):
+        state = solve_leaky_state(pipes, leak, h_in, 1.0)
+        d = measure(state, pipes, leak)
+        through = sum(
+            pipes.pipe(i).invert(state.dh) for i in range(1, pipes.n + 1) if i != leak.k
+        )
+        assert d.q_in == state.q_in_k + through
+        assert d.q_out == state.q_out_k + through
+        if state.dh == 0.0:
+            assert through == 0.0
 
 
 def test_measure_zero_leak():
