@@ -69,6 +69,11 @@ def _candidate(U_j: HeadLossFn, j: int, G: float, d: DataPoint) -> LeakCandidate
     dh = d.dh
     head_in = U_j.evaluate(d.q_in - G)
     head_out = U_j.evaluate(d.q_out - G)
+    if head_in == head_out:
+        # a leak flow within rounding of zero: the section losses cannot tell it apart
+        raise NoLeakError(
+            f"pipe {j}'s two section head losses are equal; no leak position can be inferred"
+        )
     x_j = (dh - head_out) / (head_in - head_out)
     if not 0.0 < x_j < 1.0:
         warnings.warn(

@@ -72,6 +72,16 @@ def test_no_leak_rejected(example2):
         candidate_position(pipes, 1, d)
 
 
+def test_equal_section_head_losses_rejected():
+    # a zero leak solved to flows one ulp apart, which pipe 1's two section
+    # head losses round to the same value
+    pipes = PipeSet((Linear(0.1), SignedQuadratic(0.05)))
+    d = DataPoint(2.0, -0.002, 26.347716807822543, 26.347716807822547)
+    assert d.q_in != d.q_out
+    with pytest.raises(NoLeakError, match="pipe 1's two section head losses are equal"):
+        all_candidates(pipes, d)
+
+
 def test_out_of_range_candidate_warns(example2):
     pipes, _ = example2
     # physically inconsistent data: far more outflow than inflow
