@@ -10,7 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import localization, sensitivity
-from .hydraulics import NoRootError, measure, solve_leaky_state, sweep
+from .hydraulics import measure, solve_leaky_state, sweep
 from .isolation import TooFewPointsError, isolate_by_consistency, isolate_by_leak_fit
 from .scenario import Scenario, ScenarioError, parse_scenario, read_options
 from .sensitivity import confusion_flow_curve, detect_inherent_ambiguity
@@ -36,13 +36,13 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _write_rows(
     sc: Scenario, path: Path, header: list[str], prefixes: list[list], cells
-) -> bool:
+) -> int:
     """Write one row per prefix, whose entries 1 and 2 are h_in and h_out:
     the prefix, the measured q_in and q_out, `cells(state, d)` for the solved
     state and its data point, and an empty error column. A row whose solve
-    or cells raise NoRootError or ValueError keeps its prefix, is blank up to
-    the error column and carries the message there. Returns whether any row
-    succeeded."""
+    or cells raise ValueError keeps its prefix, is blank up to the error
+    column and carries the message there. Returns the exit code: 1 when there
+    were rows and none succeeded, else 0."""
     rows = []
     any_ok = False
     for prefix in prefixes:
@@ -51,20 +51,19 @@ def _write_rows(
             d = measure(state, sc.pipes, sc.leak)
             rows.append(prefix + [d.q_in, d.q_out] + cells(state, d) + [None])
             any_ok = True
-        except (NoRootError, ValueError) as exc:
+        except ValueError as exc:
             rows.append(prefix + [None] * (len(header) - len(prefix) - 1) + [str(exc)])
     _write_csv(path, header, rows)
-    return any_ok
+    return 1 if prefixes and not any_ok else 0
 
 
 def _boundary_rows(sc: Scenario, path: Path, columns: list[str], cells) -> int:
-    """One row per boundary pair; the exit code is 1 when every pair fails."""
+    """One row per boundary pair."""
     header = ["index", "h_in", "h_out", "dh", "q_in", "q_out", *columns, "error"]
     prefixes = [
         [idx, h_in, h_out, h_in - h_out] for idx, (h_in, h_out) in enumerate(sc.boundary)
     ]
-    any_ok = _write_rows(sc, path, header, prefixes, cells)
-    return 0 if any_ok or not sc.boundary else 1
+    return _write_rows(sc, path, header, prefixes, cells)
 
 
 def _cmd_simulate(sc: Scenario, out: Path) -> int:
@@ -113,8 +112,7 @@ def _cmd_residual_sweep(sc: Scenario, out: Path) -> int:
         ]
 
     prefixes = [[dh, h_out + dh, h_out] for dh in _dh_grid(sc)]
-    any_ok = _write_rows(sc, out / "residual_sweep.csv", header, prefixes, cells)
-    return 0 if any_ok else 1
+    return _write_rows(sc, out / "residual_sweep.csv", header, prefixes, cells)
 
 
 def _cmd_confusion(sc: Scenario, out: Path) -> int:
@@ -251,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](sc, out)
-    except (ScenarioError, NoRootError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,8 +14,9 @@ from .headloss import PipeSet
 from .rootfind import BracketError, brent, expand_bracket
 
 
-class NoRootError(RuntimeError):
-    """The leak law is inconsistent with the boundary heads."""
+class NoRootError(ValueError):
+    """The leak law is inconsistent with the boundary heads: no leak head
+    balances the data."""
 
 
 @dataclass(frozen=True)
@@ -77,26 +78,25 @@ class LeakSpec:
         if not 0.0 < self.x < 1.0:
             raise ValueError(f"relative position x must be in (0,1), got {self.x}")
 
-    def validate_against(self, pipes: PipeSet) -> None:
-        if self.k > pipes.n:
-            raise ValueError(f"leaking pipe {self.k} out of range 1..{pipes.n}")
-
 
 @dataclass(frozen=True)
 class HydraulicState:
-    """Complete steady state: all flows, the leak head and the leak flow."""
+    """Steady state: the boundary heads, the leak head and the leaking pipe's
+    two section flows. Every other pipe carries its law's flow at dh."""
 
     h_in: float
     h_out: float
-    q_nonleak: tuple[float, ...]  # flows of pipes i != k, in pipe order
     q_in_k: float
     q_out_k: float
     h_leak: float
-    q_leak: float
 
     @property
     def dh(self) -> float:
         return self.h_in - self.h_out
+
+    @property
+    def q_leak(self) -> float:
+        return self.q_in_k - self.q_out_k
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,8 @@ def solve_leaky_state(
     f(h) = U_k^-1((h_in - h)/x) - U_k^-1((h - h_out)/(1-x)) - g(h)
     is strictly decreasing, so the root is unique.
     """
-    leak.validate_against(pipes)
+    if leak.k > pipes.n:
+        raise ValueError(f"leaking pipe {leak.k} out of range 1..{pipes.n}")
     U_k = pipes.pipe(leak.k)
     x = leak.x
 
@@ -143,26 +144,20 @@ def solve_leaky_state(
             f"{leak.leak.h_y}; the leak law is inconsistent with these boundary heads"
         )
 
-    dh = h_in - h_out
-    q_in_k = U_k.invert((h_in - h_leak) / x)
-    q_out_k = U_k.invert((h_leak - h_out) / (1.0 - x))
-    q_nonleak = tuple(
-        p.invert(dh) for i, p in enumerate(pipes.pipes, start=1) if i != leak.k
-    )
     return HydraulicState(
         h_in=h_in,
         h_out=h_out,
-        q_nonleak=q_nonleak,
-        q_in_k=q_in_k,
-        q_out_k=q_out_k,
+        q_in_k=U_k.invert((h_in - h_leak) / x),
+        q_out_k=U_k.invert((h_leak - h_out) / (1.0 - x)),
         h_leak=h_leak,
-        q_leak=q_in_k - q_out_k,
     )
 
 
 def measure(state: HydraulicState, pipes: PipeSet, leak: LeakSpec) -> DataPoint:
-    """Collapse a full state into the four boundary sensor readings."""
-    through = sum(state.q_nonleak)
+    """Collapse a state into the four boundary sensor readings: the leaking
+    pipe's section flows plus the flow through all other pipes at dh."""
+    dh = state.dh
+    through = sum(p.invert(dh) for i, p in enumerate(pipes.pipes, start=1) if i != leak.k)
     return DataPoint(
         h_in=state.h_in,
         h_out=state.h_out,
@@ -196,7 +191,7 @@ def sweep(
         try:
             state = solve_leaky_state(pipes, leak, h_in, h_out)
             points.append(measure(state, pipes, leak))
-        except (NoRootError, ValueError) as exc:
+        except ValueError as exc:
             points.append(None)
             errors[idx] = str(exc)
     if boundary_list and len(errors) == len(boundary_list):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .headloss import HeadLossFn, PipeSet
 from .hydraulics import DataPoint
-from .localization import NoLeakError, all_candidates
+from .localization import all_candidates
 from .sensitivity import detect_inherent_ambiguity
 
 
@@ -42,9 +42,6 @@ def isolate_by_consistency(
         raise TooFewPointsError(
             f"need at least 2 distinct data points to isolate, got {distinct}"
         )
-    for d in data:
-        if d.q_in == d.q_out:
-            raise NoLeakError("a data point has q_in == q_out; nothing to isolate")
 
     series: dict[int, list[float]] = {j: [] for j in range(1, pipes.n + 1)}
     for d in data:

@@ -16,7 +16,8 @@ from .rootfind import brent, expand_bracket
 
 
 class NoLeakError(ValueError):
-    """q_in equals q_out: the data carries no leak to localize."""
+    """The data carries no leak to localize: q_in equals q_out, or a pipe's
+    two section head losses are equal."""
 
 
 @dataclass(frozen=True)

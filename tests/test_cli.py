@@ -267,6 +267,18 @@ def test_simulate_empty_boundary(tmp_path):
     )
 
 
+@pytest.mark.parametrize("command", ["residual-sweep", "confusion"])
+def test_empty_dh_grid(tmp_path, command):
+    # no rows is not a failure, as for simulate on an empty boundary
+    doc = json.loads(bundled_scenario("example2").read_text())
+    doc["analysis"]["dh_grid"] = []
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    assert run(command, path, tmp_path / "out") == 0
+    filename = command.replace("-", "_") + ".csv"
+    assert (tmp_path / "out" / filename).read_text() == HEADERS[filename] + "\n"
+
+
 def test_eps_spread_flag_overrides_scenario(tmp_path):
     args = ["--scenario", str(bundled_scenario("example1")), "--out", str(tmp_path)]
     assert main(["isolate", *args, "--eps-spread", "1e-30"]) == 0
