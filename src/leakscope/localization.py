@@ -87,9 +87,17 @@ def _candidate(U_j: HeadLossFn, j: int, G: float, d: DataPoint) -> LeakCandidate
     )
 
 
+def _require_outlet(j: int, x_j: float) -> None:
+    """`_outflow` divides by 1 - x_j; its callers check x_j once with this."""
+    if x_j == 1.0:
+        raise ValueError(
+            f"position 1 in pipe {j} leaves no outlet section; its outflow cannot be estimated"
+        )
+
+
 def _outflow(U_j: HeadLossFn, x_j: float, G: float, dh: float, q_in: float) -> float:
     """The pipe-j outflow implied by (dh, q_in), given the flow G through all
-    other pipes."""
+    other pipes; x_j must not be 1."""
     head_out = dh / (1.0 - x_j) - (x_j / (1.0 - x_j)) * U_j.evaluate(q_in - G)
     return U_j.invert(head_out) + G
 
@@ -109,6 +117,7 @@ def estimate_outflow(
     pipes: PipeSet, j: int, x_j: float, dh: float, q_in: float
 ) -> float:
     """Outflow implied by (dh, q_in) under the hypothesis (j, x_j)."""
+    _require_outlet(j, x_j)
     return _outflow(pipes.pipe(j), x_j, pipes.admittance_excluding(j, dh), dh, q_in)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .headloss import PipeSet, UnboundedDerivativeError
 from .hydraulics import DataPoint, LeakSpec
-from .localization import _outflow
+from .localization import _outflow, _require_outlet
 from .rootfind import BracketError, brent, expand_bracket
 
 CURVE_TOL = 1e-10  # |residual| at which a confusion-curve point has converged
@@ -97,6 +97,7 @@ def confusion_flow_curve(
     """
     k, x = truth.k, truth.x
     U_k, U_i = pipes.pipe(k), pipes.pipe(i)
+    _require_outlet(i, x_i)
     q_vals: list[float] = []
     residuals: list[float] = []
     flags: list[bool] = []

@@ -153,6 +153,12 @@ class TestEstimateOutflow:
                     estimate_outflow(pipes, j, x_j, d.dh, d.q_in), abs=1e-9
                 )
 
+    def test_position_one_rejected(self, example2):
+        pipes, leak = example2
+        d = simulate_data(pipes, leak, [(5.0, 1.0)])[0]
+        with pytest.raises(ValueError, match="position 1 in pipe 2 leaves no outlet"):
+            residual_bar(pipes, 2, 1.0, d)
+
 
 class TestCompleteDataPoint:
     def test_missing_flow_identities(self, example2):

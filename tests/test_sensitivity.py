@@ -112,6 +112,11 @@ class TestConfusionFlows:
                 if ok:
                     assert abs(f(dh, q)) <= 1e-8
 
+    def test_position_one_rejected(self, example2):
+        pipes, leak = example2
+        with pytest.raises(ValueError, match="position 1 in pipe 2 leaves no outlet"):
+            confusion_flow_curve(pipes, 2, 1.0, leak, [3.0, 4.0], 6.0)
+
     def test_near_unity_dh_confusion_matches_actual_flow(self, example2):
         pipes, leak = example2
         nominal = simulate_data(pipes, leak, [(2.0, 1.0)])[0]
