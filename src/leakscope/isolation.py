@@ -136,10 +136,14 @@ def fit_leak_function(
         raise ValueError("zero variance in log pressure head; fit is degenerate")
     log_q = [math.log(q) for _, q in samples]
     beta, log_C = statistics.linear_regression(log_h, log_q)
-    C = math.exp(log_C)
-    rmse = math.sqrt(
-        statistics.fmean((q - C * (h - h_y) ** beta) ** 2 for h, q in samples)
-    )
+    C = rmse = math.inf  # kept where the fitted law leaves the float range
+    try:
+        C = math.exp(log_C)
+        rmse = math.sqrt(
+            statistics.fmean((q - C * (h - h_y) ** beta) ** 2 for h, q in samples)
+        )
+    except OverflowError:
+        pass
     return LeakFitResult(
         j=j, C_j=C, beta_j=beta, rmse=rmse,
         negative_head=False, accepted=rmse <= eps_fit, samples=tuple(samples),

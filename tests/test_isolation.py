@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import simulate_data
@@ -132,6 +134,15 @@ class TestFitLeakFunction:
         samples = [(-0.5, 10.0), (1.0, 20.0), (2.0, 30.0)]
         fit = fit_leak_function(samples)
         assert fit.negative_head and not fit.accepted
+
+    @pytest.mark.parametrize("scale", [1e-10, 1e10], ids=["exp-overflows", "power-overflows"])
+    def test_overflowing_fit_rejected(self, scale):
+        # three nearly equal heads fit a huge exponent; exp(log C) or the
+        # law at the samples then leaves the float range
+        samples = [(scale * h, q) for h, q in ((1.0, 1.0), (1.0001, 10.0), (1.0002, 100.0))]
+        fit = fit_leak_function(samples)
+        assert fit.rmse == math.inf
+        assert not fit.accepted and not fit.negative_head
 
     def test_degenerate_samples(self):
         with pytest.raises(ValueError):
