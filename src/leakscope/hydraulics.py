@@ -137,6 +137,10 @@ def solve_leaky_state(
         h_leak = brent(mismatch, *expand_bracket(mismatch, lo, hi), xtol=1e-13)
     except BracketError as exc:
         raise NoRootError(f"no leak head balances the boundary heads: {exc}") from exc
+    except OverflowError as exc:
+        raise NoRootError(
+            "the leak head cannot be bracketed: a section flow leaves the float range"
+        ) from exc
 
     if isinstance(leak.leak, PowerLawLeak) and h_leak <= leak.leak.h_y:
         raise NoRootError(

@@ -8,6 +8,7 @@ from leakscope import (
     Linear,
     NoRootError,
     PipeSet,
+    PowerLaw,
     PowerLawLeak,
     SignedQuadratic,
     SqrtLeak,
@@ -143,6 +144,15 @@ def test_no_root_error_for_unreachable_leak_elevation():
     leak = LeakSpec(1, 0.4, PowerLawLeak(C=1.0, beta=0.5, h_y=100.0))
     with pytest.raises(NoRootError):
         solve_leaky_state(pipes, leak, 3.0, 1.0)
+
+
+def test_no_root_error_when_a_section_flow_overflows():
+    # at a leak this close to the inlet, the first bracket probes ask the
+    # inlet section for a flow beyond the float range
+    pipes = PipeSet((PowerLaw(1.0, 0.5),))
+    leak = LeakSpec(1, 1e-286, PowerLawLeak(C=1.0, beta=1.0))
+    with pytest.raises(NoRootError, match="float range"):
+        solve_leaky_state(pipes, leak, 1.0, 1.0)
 
 
 def test_invalid_leak_spec():
