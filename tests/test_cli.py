@@ -1,9 +1,11 @@
 import csv
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from leakscope import bundled_scenario, parse_scenario
 from leakscope.cli import main
@@ -445,3 +447,156 @@ def test_residual_sweep_failed_solves_are_error_rows(tmp_path):
     assert run("residual-sweep", path, tmp_path / "out") == 0
     got, errors = _error_rows(tmp_path / "out" / "residual_sweep.csv")
     assert (len(got), len(errors)) == (7, 4)
+
+
+def _scaled(lo: int, hi: int):
+    """Positive numbers from 10**lo to 10**hi, spread evenly over the decades."""
+    return st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(lo, hi - 1))
+
+
+POSITIVE = _scaled(-6, 6)
+HEAD = st.sampled_from([0.0, 1.0, 2.0]) | st.builds(
+    lambda sign, v: sign * v, st.sampled_from([-1.0, 1.0]), _scaled(-3, 4)
+)
+PIPE = st.one_of(
+    st.fixed_dictionaries({"type": st.just("linear"), "R": POSITIVE}),
+    st.fixed_dictionaries({"type": st.just("signed_quadratic"), "c": POSITIVE}),
+    st.fixed_dictionaries({"type": st.just("quadratic_plus_linear"), "c": POSITIVE}),
+    st.fixed_dictionaries({
+        "type": st.just("power_law"),
+        "c": POSITIVE,
+        "gamma": st.sampled_from([0.5, 1.0, 1.85, 2.0, 3.0]) | st.floats(0.5, 3.0),
+    }),
+)
+LEAK_FN = st.one_of(
+    st.fixed_dictionaries({
+        "type": st.just("power_law_leak"),
+        "C": POSITIVE,
+        "beta": st.floats(0.1, 2.0),
+        "h_y": HEAD,
+    }),
+    st.fixed_dictionaries({
+        "type": st.just("fixed_demand"), "q_leak": st.just(0.0) | POSITIVE,
+    }),
+    st.just({"type": "sqrt"}),
+)
+
+
+@st.composite
+def valid_documents(draw):
+    pipes = draw(st.lists(PIPE, min_size=1, max_size=5))
+    return {
+        "pipes": pipes,
+        "leak": {
+            "k": draw(st.integers(1, len(pipes))),
+            "x": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            "fn": draw(LEAK_FN),
+        },
+        "boundary": draw(st.lists(st.tuples(HEAD, HEAD).map(list), max_size=5)),
+        "analysis": {
+            "nominal_dh": draw(HEAD),
+            "dh_grid": draw(st.lists(HEAD, max_size=4)),
+        },
+    }
+
+
+COMMANDS = ["simulate", "candidates", "residual-sweep", "confusion", "isolate", "leakfit", "check"]
+
+# a zero leak whose flows differ by one ulp, which pipe 1's two section
+# head losses round away
+EQUAL_HEAD_LOSSES = {
+    "pipes": [{"type": "linear", "R": 0.1}, {"type": "signed_quadratic", "c": 0.05}],
+    "leak": {"k": 2, "x": 0.5, "fn": {"type": "fixed_demand", "q_leak": 0.0}},
+    "boundary": [[2.0, -0.002], [3.0, 1.0]],
+}
+# both frozen candidates are 1
+POSITION_ONE = {
+    "pipes": [{"type": "linear", "R": 0.1}, {"type": "linear", "R": 0.1}],
+    "leak": {"k": 1, "x": 0.7, "fn": {"type": "fixed_demand", "q_leak": 0.0}},
+    "boundary": [],
+    "analysis": {"nominal_dh": 0.5, "dh_grid": [0.5, 1.0]},
+}
+# the true pipe's leak fit overflows
+OVERFLOWING_FIT = {
+    "pipes": [
+        {"type": "linear", "R": 1.4e-06},
+        {"type": "power_law", "c": 1400.0, "gamma": 3.0},
+        {"type": "linear", "R": 5.2e-05},
+        {"type": "quadratic_plus_linear", "c": 1.6},
+    ],
+    "leak": {
+        "k": 4, "x": 0.82, "fn": {"type": "power_law_leak", "C": 200.0, "beta": 0.26, "h_y": 0.83},
+    },
+    "boundary": [[1.9, -0.32], [1.1, 0.9], [-0.46, 1.4], [2.1, 3.0]],
+}
+# a leak so near the inlet that bracketing its head overflows a section flow
+INLET_LEAK = {
+    "pipes": [{"type": "power_law", "c": 1.0, "gamma": 0.5}],
+    "leak": {
+        "k": 1, "x": 1.0431682246888698e-286,
+        "fn": {"type": "power_law_leak", "C": 1.0, "beta": 1.0, "h_y": 0.0},
+    },
+    "boundary": [],
+    "analysis": {"nominal_dh": 0.0, "dh_grid": []},
+}
+
+
+@pytest.mark.filterwarnings("ignore:candidate position")
+@settings(max_examples=200, deadline=None)
+@given(doc=valid_documents())
+@example(doc=EQUAL_HEAD_LOSSES)
+@example(doc=POSITION_ONE)
+@example(doc=OVERFLOWING_FIT)
+@example(doc=INLET_LEAK)
+def test_no_command_ends_in_a_traceback(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        for command in COMMANDS:
+            code = main([command, "--scenario", str(path), "--out", str(Path(tmp) / command)])
+            assert code in (0, 1, 2), command
+
+
+@pytest.mark.filterwarnings("ignore:candidate position")
+@pytest.mark.parametrize(
+    "doc,command,code,files,error_rows",
+    [
+        (EQUAL_HEAD_LOSSES, "candidates", 1, ["candidates.csv"], 2),
+        (EQUAL_HEAD_LOSSES, "isolate", 1, [], 0),
+        (POSITION_ONE, "residual-sweep", 1, ["residual_sweep.csv"], 2),
+        (POSITION_ONE, "confusion", 1, [], 0),
+        (OVERFLOWING_FIT, "leakfit", 0, ["leakfit_results.csv", "leakfit_samples.csv"], 0),
+        (INLET_LEAK, "confusion", 1, [], 0),
+    ],
+    ids=[
+        "equal-losses-candidates", "equal-losses-isolate", "position-one-residual-sweep",
+        "position-one-confusion", "overflowing-fit-leakfit", "inlet-leak-confusion",
+    ],
+)
+def test_arithmetic_edge_is_an_error_row_or_line(
+    tmp_path, capsys, doc, command, code, files, error_rows
+):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(command, path, out) == code
+    err_lines = capsys.readouterr().err.splitlines()
+    assert sorted(p.name for p in out.iterdir()) == files
+    if files:
+        assert err_lines == []
+    else:
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+    if error_rows:
+        rows = list(csv.reader((out / files[0]).read_text().splitlines()[1:]))
+        assert sum(bool(row[-1]) for row in rows) == error_rows == len(rows)
+
+
+def test_overflowing_fit_ranks_before_negative_head(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(OVERFLOWING_FIT))
+    assert run("leakfit", path, tmp_path) == 0
+    results = list(csv.reader((tmp_path / "leakfit_results.csv").read_text().splitlines()[1:]))
+    # rmse and negative_head, by rank
+    assert [(row[4] == "inf", row[5]) for row in results] == [
+        (False, "false"), (False, "false"), (True, "false"), (True, "true")
+    ]
