@@ -15,8 +15,7 @@ from .rootfind import BracketError, brent, expand_bracket
 
 
 class NoRootError(ValueError):
-    """The leak law is inconsistent with the boundary heads: no leak head
-    balances the data."""
+    """No leak head balances the boundary heads under the leak law."""
 
 
 @dataclass(frozen=True)
