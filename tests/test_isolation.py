@@ -6,6 +6,7 @@ from conftest import simulate_data
 
 from leakscope import (
     DataPoint,
+    IsolationVerdict,
     LeakSpec,
     Linear,
     NoLeakError,
@@ -18,12 +19,15 @@ from leakscope import (
     all_candidates,
     apparent_leak_flow,
     apparent_leak_head,
+    bundled_scenario,
     candidate_position,
     detect_inherent_ambiguity,
     fit_leak_function,
     isolate_by_consistency,
     isolate_by_leak_fit,
+    parse_scenario,
     solve_leaky_state,
+    sweep,
 )
 
 
@@ -62,6 +66,39 @@ class TestConsistency:
         verdict = isolate_by_consistency(pipes, data)
         assert not verdict.isolated
         assert "pipes 1-2 identical" in verdict.reason
+
+    @pytest.mark.parametrize(
+        "name,eps_spread,fields",
+        [
+            ("example1", None, dict(isolated=True, k_hat=2)),
+            ("linear-ambiguous", None, dict(
+                isolated=False, candidate_pipes=frozenset({1, 2}), reason="pipes 1-2 linear",
+            )),
+            ("identical-pipes", None, dict(
+                isolated=False, candidate_pipes=frozenset({1, 2}), reason="pipes 1-2 identical",
+            )),
+            ("example1", -1.0, dict(
+                isolated=False, reason="no pipe has a consistent candidate position",
+            )),
+        ],
+        ids=["isolated", "linear-ambiguous", "identical-pipes", "none-plausible"],
+    )
+    def test_verdict_fields(self, name, eps_spread, fields):
+        sc = parse_scenario(bundled_scenario(name))
+        data = sweep(sc.pipes, sc.leak, list(sc.boundary)).ok()
+        eps = sc.analysis.eps_spread if eps_spread is None else eps_spread
+        series = {
+            j: tuple(candidate_position(sc.pipes, j, d) for d in data)
+            for j in range(1, sc.pipes.n + 1)
+        }
+        if fields["isolated"]:
+            k_hat = fields["k_hat"]
+            fields = {**fields, "x_hat": sum(series[k_hat]) / len(series[k_hat])}
+        assert isolate_by_consistency(sc.pipes, data, eps_spread=eps) == IsolationVerdict(
+            candidate_series=series,
+            spreads={j: max(s) - min(s) for j, s in series.items()},
+            **fields,
+        )
 
     def test_too_few_points(self, example1):
         pipes, leak, boundaries = example1
