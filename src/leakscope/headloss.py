@@ -26,9 +26,6 @@ class HeadLossFn:
     differ by a positive constant factor.
     """
 
-    def is_linear(self) -> bool:
-        return False
-
 
 def _check_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
@@ -96,9 +93,6 @@ class PowerLaw(HeadLossFn):
                 f"power law with gamma={self.gamma} < 1 has unbounded slope at q=0"
             )
         return self.c * self.gamma * abs(q) ** (self.gamma - 1.0)
-
-    def is_linear(self) -> bool:
-        return self.gamma == 1.0
 
     def shape_key(self) -> tuple:
         return ("power", self.gamma)

@@ -11,11 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .headloss import PipeSet
-from .rootfind import BracketError, brent, expand_bracket
-
-
-class NoRootError(ValueError):
-    """No leak head balances the boundary heads under the leak law."""
+from .rootfind import NoRootError, brent, expand_bracket
 
 
 @dataclass(frozen=True)
@@ -134,7 +130,7 @@ def solve_leaky_state(
     lo, hi = min(h_in, h_out), max(h_in, h_out)
     try:
         h_leak = brent(mismatch, *expand_bracket(mismatch, lo, hi), xtol=1e-13)
-    except BracketError as exc:
+    except NoRootError as exc:
         raise NoRootError(f"no leak head balances the boundary heads: {exc}") from exc
     except OverflowError as exc:
         raise NoRootError(

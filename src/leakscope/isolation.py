@@ -19,7 +19,7 @@ from .sensitivity import detect_inherent_ambiguity
 
 
 class TooFewPointsError(ValueError):
-    """Isolation needs at least two distinct hydraulic states."""
+    """Too few data: fewer distinct states or leak flows than the method needs."""
 
 
 @dataclass(frozen=True)
@@ -50,19 +50,11 @@ def isolate_by_consistency(
     spreads = {j: max(s) - min(s) for j, s in series.items()}
     plausible = sorted(j for j, sp in spreads.items() if sp <= eps_spread)
 
-    frozen_series = {j: tuple(s) for j, s in series.items()}
-    if len(plausible) == 1:
-        k_hat = plausible[0]
-        return IsolationVerdict(
-            candidate_series=frozen_series,
-            spreads=spreads,
-            isolated=True,
-            k_hat=k_hat,
-            x_hat=sum(series[k_hat]) / len(series[k_hat]),
-        )
+    k_hat = plausible[0] if len(plausible) == 1 else None
+    reason = ""
     if not plausible:
         reason = "no pipe has a consistent candidate position"
-    else:
+    elif k_hat is None:
         ambiguous = detect_inherent_ambiguity(pipes)
         pair_reasons = [
             f"pipes {a}-{b} {why}" for (a, b), why in ambiguous
@@ -74,10 +66,12 @@ def isolate_by_consistency(
             else "multiple pipes have consistent candidate positions"
         )
     return IsolationVerdict(
-        candidate_series=frozen_series,
+        candidate_series={j: tuple(s) for j, s in series.items()},
         spreads=spreads,
-        isolated=False,
-        candidate_pipes=frozenset(plausible),
+        isolated=k_hat is not None,
+        k_hat=k_hat,
+        x_hat=None if k_hat is None else sum(series[k_hat]) / len(series[k_hat]),
+        candidate_pipes=frozenset(plausible if k_hat is None else ()),
         reason=reason,
     )
 
@@ -121,9 +115,9 @@ def fit_leak_function(
     pipe the result is recorded for; the result keeps the samples.
     """
     if len(samples) < 3:
-        raise ValueError(f"need at least 3 samples, got {len(samples)}")
+        raise TooFewPointsError(f"need at least 3 samples, got {len(samples)}")
     if len({q for _, q in samples}) < 3:
-        raise ValueError("need at least 3 distinct leak flows")
+        raise TooFewPointsError("need at least 3 distinct leak flows")
     if any(h - h_y <= 0.0 for h, _ in samples):
         return LeakFitResult(
             j=j, C_j=math.nan, beta_j=math.nan, rmse=math.inf,

@@ -10,8 +10,9 @@ EPS = sys.float_info.epsilon
 MAX_ITER = 200  # zeroin steps before brent returns its current estimate
 
 
-class BracketError(RuntimeError):
-    """Raised when no sign change can be bracketed."""
+class NoRootError(ValueError):
+    """No root can be found: no sign change brackets one, or, in a forward
+    solve, no admissible leak head balances the boundary heads."""
 
 
 def expand_bracket(
@@ -36,7 +37,7 @@ def expand_bracket(
         step *= 2.0
     if flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
         return lo, hi, flo, fhi
-    raise BracketError(f"no sign change in [{lo}, {hi}] after {max_expand} expansions")
+    raise NoRootError(f"no sign change in [{lo}, {hi}] after {max_expand} expansions")
 
 
 def brent(
@@ -59,7 +60,7 @@ def brent(
     if fb == 0.0:
         return b
     if (fa < 0.0) == (fb < 0.0):
-        raise BracketError(f"f({a})={fa} and f({b})={fb} have the same sign")
+        raise NoRootError(f"f({a})={fa} and f({b})={fb} have the same sign")
     # b is the best estimate, c the other end of the bracket, a the previous b
     c, fc = a, fa
     d = e = b - a

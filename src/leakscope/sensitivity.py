@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .headloss import PipeSet, UnboundedDerivativeError
+from .headloss import Linear, PipeSet, UnboundedDerivativeError
 from .hydraulics import DataPoint, LeakSpec
 from .localization import _outflow, _require_outlet
-from .rootfind import BracketError, brent, expand_bracket
+from .rootfind import NoRootError, brent, expand_bracket
 
 CURVE_TOL = 1e-10  # |residual| at which a confusion-curve point has converged
 CURVE_MAX_ITER = 100  # damped Newton steps per point before the bracketed fallback
@@ -153,7 +153,7 @@ def _solve_point(f, seed: float) -> tuple[float, float, bool]:
         bracket = expand_bracket(f, seed - width, seed + width, max_expand=30)
         q = brent(f, *bracket, xtol=1e-13)
         fq = f(q)
-    except BracketError:
+    except NoRootError:
         pass
     return q, fq, abs(fq) <= CURVE_TOL
 
@@ -206,12 +206,13 @@ def detect_inherent_ambiguity(pipes: PipeSet) -> list[tuple[tuple[int, int], str
     Structurally identical laws are indistinguishable, and so are any two
     linear laws regardless of their resistances.
     """
+    linear = Linear(1.0).shape_key()
     flagged: list[tuple[tuple[int, int], str]] = []
     for a in range(1, pipes.n + 1):
         for b in range(a + 1, pipes.n + 1):
             pa, pb = pipes.pipe(a), pipes.pipe(b)
             if pa == pb:
                 flagged.append(((a, b), "identical"))
-            elif pa.is_linear() and pb.is_linear():
+            elif pa.shape_key() == pb.shape_key() == linear:
                 flagged.append(((a, b), "linear"))
     return flagged

@@ -70,7 +70,7 @@ def test_invalid_parameters():
 def test_shorthands_are_power_laws():
     assert Linear(0.1) == PowerLaw(0.1, 1.0)
     assert SignedQuadratic(0.05) == PowerLaw(0.05, 2.0)
-    assert Linear(0.1).is_linear() and not SignedQuadratic(0.05).is_linear()
+    assert Linear(0.1).shape_key() == ("power", 1.0) != SignedQuadratic(0.05).shape_key()
     # the gamma = 1 and gamma = 2 closed forms, exactly
     assert SignedQuadratic(0.05).evaluate(-3.0) == 0.05 * 3.0 * -3.0
     assert SignedQuadratic(0.05).invert(-0.2) == -math.sqrt(0.2 / 0.05)

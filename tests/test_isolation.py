@@ -182,8 +182,10 @@ class TestFitLeakFunction:
         assert not fit.accepted and not fit.negative_head
 
     def test_degenerate_samples(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TooFewPointsError, match="at least 3 samples"):
             fit_leak_function([(1.0, 2.0), (2.0, 3.0)])
+        with pytest.raises(TooFewPointsError, match="3 distinct leak flows"):
+            fit_leak_function([(1.0, 2.0), (2.0, 3.0), (3.0, 3.0)])
         with pytest.raises(ValueError):
             fit_leak_function([(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)])
         with pytest.raises(ValueError, match="positive"):

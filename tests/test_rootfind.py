@@ -11,7 +11,8 @@ from leakscope import (
     QuadraticPlusLinear,
     solve_leaky_state,
 )
-from leakscope.rootfind import BracketError, brent, expand_bracket
+import leakscope
+from leakscope.rootfind import NoRootError, brent, expand_bracket
 
 EPS = sys.float_info.epsilon
 
@@ -29,8 +30,15 @@ def test_root_at_an_end_is_returned_exactly(xtol):
 
 @pytest.mark.parametrize("fa,fb", [(1.0, 2.0), (-1.0, -2.0), (5e-324, 1.0)])
 def test_same_sign_bracket_raises(fa, fb):
-    with pytest.raises(BracketError):
+    with pytest.raises(NoRootError):
         brent(no_call, 0.0, 1.0, fa, fb)
+
+
+def test_one_no_root_error():
+    assert leakscope.NoRootError is leakscope.hydraulics.NoRootError is NoRootError
+    assert issubclass(NoRootError, ValueError)
+    with pytest.raises(NoRootError, match="no sign change"):
+        expand_bracket(lambda x: 1.0 + x * x, -1.0, 1.0, max_expand=3)
 
 
 LAWS = st.one_of(

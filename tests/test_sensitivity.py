@@ -8,6 +8,7 @@ from leakscope import (
     LeakSpec,
     Linear,
     PipeSet,
+    PowerLaw,
     QuadraticPlusLinear,
     SignedQuadratic,
     UnboundedDerivativeError,
@@ -205,6 +206,11 @@ class TestInherentAmbiguity:
     def test_linear_pair_flagged(self):
         pipes = PipeSet((Linear(0.1), Linear(0.2), SignedQuadratic(0.05)))
         assert detect_inherent_ambiguity(pipes) == [((1, 2), "linear")]
+
+    def test_linear_is_gamma_exactly_one(self):
+        linear = PipeSet((PowerLaw(0.3, 1.0), Linear(0.2)))
+        assert detect_inherent_ambiguity(linear) == [((1, 2), "linear")]
+        assert detect_inherent_ambiguity(PipeSet((PowerLaw(0.3, 1.0000001), Linear(0.2)))) == []
 
     def test_identical_pair_flagged(self):
         pipes = PipeSet((SignedQuadratic(0.05), SignedQuadratic(0.05)))
