@@ -79,20 +79,29 @@ class PowerLaw(HeadLossFn):
         gamma = self.gamma
         if gamma == 2.0:
             return self.c * abs(q) * q
-        return math.copysign(self.c * abs(q) ** gamma, q)
+        try:
+            return math.copysign(self.c * abs(q) ** gamma, q)
+        except OverflowError:
+            raise ValueError(f"{self!r}.evaluate({q!r}) is beyond the float range") from None
 
     def invert(self, h: float) -> float:
         gamma = self.gamma
         if gamma == 2.0:
             return math.copysign(math.sqrt(abs(h) / self.c), h)
-        return math.copysign((abs(h) / self.c) ** (1.0 / gamma), h)
+        try:
+            return math.copysign((abs(h) / self.c) ** (1.0 / gamma), h)
+        except OverflowError:
+            raise ValueError(f"{self!r}.invert({h!r}) is beyond the float range") from None
 
     def derivative(self, q: float) -> float:
         if q == 0.0 and self.gamma < 1.0:
             raise UnboundedDerivativeError(
                 f"power law with gamma={self.gamma} < 1 has unbounded slope at q=0"
             )
-        return self.c * self.gamma * abs(q) ** (self.gamma - 1.0)
+        try:
+            return self.c * self.gamma * abs(q) ** (self.gamma - 1.0)
+        except OverflowError:
+            raise ValueError(f"{self!r}.derivative({q!r}) is beyond the float range") from None
 
     def shape_key(self) -> tuple:
         return ("power", self.gamma)

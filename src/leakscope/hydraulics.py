@@ -34,7 +34,10 @@ class PowerLawLeak:
         head = h_leak - self.h_y
         if head <= 0.0:
             return 0.0
-        return self.C * head**self.beta
+        try:
+            return self.C * head**self.beta
+        except OverflowError:
+            raise ValueError(f"{self!r}.flow({h_leak!r}) is beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -130,12 +133,8 @@ def solve_leaky_state(
     lo, hi = min(h_in, h_out), max(h_in, h_out)
     try:
         h_leak = brent(mismatch, *expand_bracket(mismatch, lo, hi), xtol=1e-13)
-    except NoRootError as exc:
+    except ValueError as exc:  # no sign change, or a flow beyond the float range
         raise NoRootError(f"no leak head balances the boundary heads: {exc}") from exc
-    except OverflowError as exc:
-        raise NoRootError(
-            "the leak head cannot be bracketed: a section flow leaves the float range"
-        ) from exc
 
     if isinstance(leak.leak, PowerLawLeak) and h_leak <= leak.leak.h_y:
         raise NoRootError(

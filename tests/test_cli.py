@@ -501,6 +501,7 @@ def valid_documents(draw):
 
 
 COMMANDS = ["simulate", "candidates", "residual-sweep", "confusion", "isolate", "leakfit", "check"]
+ANALYSES = ["residual-sweep", "confusion", "isolate", "leakfit"]
 
 # a zero leak whose flows differ by one ulp, which pipe 1's two section
 # head losses round away
@@ -539,6 +540,20 @@ INLET_LEAK = {
     "boundary": [],
     "analysis": {"nominal_dh": 0.0, "dh_grid": []},
 }
+# pipe 1 inverts any head loss to a flow beyond the float range
+TINY_C = {
+    "pipes": [{"type": "power_law", "c": 1e-300, "gamma": 0.5}, {"type": "linear", "R": 0.1}],
+    "leak": {"k": 2, "x": 0.5, "fn": {"type": "sqrt"}},
+    "boundary": [[5.0, 1.0], [3.0, 1.0], [4.0, 1.0]],
+    "analysis": {"nominal_dh": 2.0, "dh_grid": [1.0, 2.0, 3.0]},
+}
+# the states solve, but pipe 1's head loss at its candidate flow is beyond the float range
+STEEP_POWER = {
+    "pipes": [{"type": "power_law", "c": 1.0, "gamma": 60}, {"type": "linear", "R": 0.001}],
+    "leak": {"k": 2, "x": 0.5, "fn": {"type": "fixed_demand", "q_leak": 1e6}},
+    "boundary": [[5.0, 1.0], [3.0, 1.0], [4.0, 1.0]],
+    "analysis": {"nominal_dh": 2.0, "dh_grid": [1.0, 2.0, 3.0]},
+}
 
 
 @pytest.mark.filterwarnings("ignore:candidate position")
@@ -548,6 +563,8 @@ INLET_LEAK = {
 @example(doc=POSITION_ONE)
 @example(doc=OVERFLOWING_FIT)
 @example(doc=INLET_LEAK)
+@example(doc=TINY_C)
+@example(doc=STEEP_POWER)
 def test_no_command_ends_in_a_traceback(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
@@ -567,10 +584,19 @@ def test_no_command_ends_in_a_traceback(doc):
         (POSITION_ONE, "confusion", 1, [], 0),
         (OVERFLOWING_FIT, "leakfit", 0, ["leakfit_results.csv", "leakfit_samples.csv"], 0),
         (INLET_LEAK, "confusion", 1, [], 0),
+        (TINY_C, "simulate", 1, ["simulate.csv"], 3),
+        (TINY_C, "candidates", 1, ["candidates.csv"], 3),
+        *[(TINY_C, command, 1, [], 0) for command in ANALYSES],
+        (STEEP_POWER, "simulate", 0, ["simulate.csv"], 0),
+        (STEEP_POWER, "candidates", 1, ["candidates.csv"], 3),
+        *[(STEEP_POWER, command, 1, [], 0) for command in ANALYSES],
     ],
     ids=[
         "equal-losses-candidates", "equal-losses-isolate", "position-one-residual-sweep",
         "position-one-confusion", "overflowing-fit-leakfit", "inlet-leak-confusion",
+        "tiny-c-simulate", "tiny-c-candidates", *[f"tiny-c-{command}" for command in ANALYSES],
+        "steep-power-simulate", "steep-power-candidates",
+        *[f"steep-power-{command}" for command in ANALYSES],
     ],
 )
 def test_arithmetic_edge_is_an_error_row_or_line(

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import pytest
@@ -8,6 +9,7 @@ from leakscope import (
     Linear,
     PipeSet,
     PowerLaw,
+    PowerLawLeak,
     QuadraticPlusLinear,
     SignedQuadratic,
     UnboundedDerivativeError,
@@ -53,6 +55,22 @@ def test_power_law_derivative_at_zero():
         PowerLaw(1.0, 0.5).derivative(0.0)
     assert PowerLaw(1.0, 2.0).derivative(0.0) == 0.0
     assert PowerLaw(0.3, 1.0).derivative(0.0) == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize(
+    "law,method,arg",
+    [
+        (PowerLaw(1.0, 60.0), "evaluate", 5e5),
+        (PowerLaw(1e-300, 0.5), "invert", 4.0),
+        (PowerLaw(1.0, 0.01), "derivative", 1e-320),
+        (PowerLawLeak(C=1.0, beta=60.0), "flow", 1e6),
+    ],
+    ids=["evaluate", "invert", "derivative", "leak-flow"],
+)
+def test_power_beyond_the_float_range_is_a_value_error(law, method, arg):
+    text = f"{law!r}.{method}({arg!r}) is beyond the float range"
+    with pytest.raises(ValueError, match=re.escape(text)):
+        getattr(law, method)(arg)
 
 
 def test_invalid_parameters():
