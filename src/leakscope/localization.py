@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import count, repeat
 
 from .headloss import HeadLossFn, PipeSet
 from .hydraulics import DataPoint
@@ -110,7 +111,8 @@ def candidate_position(pipes: PipeSet, j: int, d: DataPoint) -> float:
 def all_candidates(pipes: PipeSet, d: DataPoint) -> list[LeakCandidate]:
     """One leak candidate per pipe, with its residual check."""
     G = pipes.admittances_excluding(d.dh)
-    return [_candidate(U_j, j, G[j - 1], d) for j, U_j in enumerate(pipes.pipes, start=1)]
+    # map adds no Python frame, so _candidate's warning names our caller
+    return list(map(_candidate, pipes.pipes, count(1), G, repeat(d)))
 
 
 def estimate_outflow(

@@ -86,8 +86,12 @@ def test_out_of_range_candidate_warns(example2):
     pipes, _ = example2
     # physically inconsistent data: far more outflow than inflow
     d = DataPoint(5.0, 1.0, 50.0, 60.0)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as one:
         candidate_position(pipes, 1, d)
+    with pytest.warns(UserWarning) as every:
+        all_candidates(pipes, d)
+    # each warning names the caller's line, not a line inside leakscope
+    assert [w.filename for w in [*one, *every]] == [__file__] * (1 + len(every))
 
 
 class TestResidual:
