@@ -65,7 +65,8 @@ class PowerLaw(HeadLossFn):
 
     gamma = 2 takes the closed forms c |q| q and sqrt rather than the
     general power, which rounds differently. At gamma = 1 the general
-    formulas give exactly c q, h / c and c.
+    formulas give exactly c q, h / c and c. A power beyond the float range
+    raises ValueError.
     """
 
     c: float

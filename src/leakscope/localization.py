@@ -111,7 +111,7 @@ def candidate_position(pipes: PipeSet, j: int, d: DataPoint) -> float:
 def all_candidates(pipes: PipeSet, d: DataPoint) -> list[LeakCandidate]:
     """One leak candidate per pipe, with its residual check."""
     G = pipes.admittances_excluding(d.dh)
-    # map adds no Python frame, so _candidate's warning names our caller
+    # map adds no Python frame, so _candidate's warning names this function's caller
     return list(map(_candidate, pipes.pipes, count(1), G, repeat(d)))
 
 
