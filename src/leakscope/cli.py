@@ -6,7 +6,6 @@ import argparse
 import csv
 import sys
 from bisect import bisect_left
-from dataclasses import replace
 from pathlib import Path
 
 from . import localization, sensitivity
@@ -244,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
         return 2
-    sc = replace(sc, analysis=replace(sc.analysis, **overrides))
+    sc = sc.replace(analysis=sc.analysis.replace(**overrides))
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

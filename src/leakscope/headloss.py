@@ -10,8 +10,56 @@ and gamma = 2, so equal laws compare equal however they are spelled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
+from operator import attrgetter
+
+
+class Value:
+    """Base of leakscope's immutable records, which behave as frozen dataclasses.
+
+    A subclass names its fields in `__slots__` and sets each once in its
+    `__init__` with `object.__setattr__`. Instances compare and hash by their
+    fields within one class, repr as `Name(field=value, ...)`, and refuse
+    assignment and deletion. Building a class runs no generated code, which
+    keeps the import of leakscope short.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # all fields as one tuple, read at C speed: == and hash run per state
+        get = attrgetter(*cls.__slots__)
+        cls._values = get if len(cls.__slots__) > 1 else lambda self: (get(self),)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__class__._values(self) == self.__class__._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.__class__._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # for copy and pickle, which would set the slots
+        return self.__class__, self.__class__._values(self)
+
+    def _asdict(self) -> dict:
+        """The fields by name, in `__slots__` order."""
+        return dict(zip(self.__slots__, self.__class__._values(self)))
+
+    def replace(self, **changes):
+        """A copy with `changes` to some fields, checked by `__init__` again."""
+        return self.__class__(**{**self._asdict(), **changes})
 
 
 class UnboundedDerivativeError(ValueError):
@@ -26,20 +74,22 @@ class HeadLossFn:
     differ by a positive constant factor.
     """
 
+    __slots__ = ()
+
 
 def _check_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-@dataclass(frozen=True)
-class QuadraticPlusLinear(HeadLossFn):
+class QuadraticPlusLinear(HeadLossFn, Value):
     """U(q) = c (q |q| + q)."""
 
-    c: float
+    __slots__ = ("c",)
 
-    def __post_init__(self):
-        _check_positive("c", self.c)
+    def __init__(self, c: float):
+        _check_positive("c", c)
+        object.__setattr__(self, "c", c)
 
     def evaluate(self, q: float) -> float:
         return self.c * (q * abs(q) + q)
@@ -59,8 +109,7 @@ class QuadraticPlusLinear(HeadLossFn):
         return ("quadratic_plus_linear",)
 
 
-@dataclass(frozen=True)
-class PowerLaw(HeadLossFn):
+class PowerLaw(HeadLossFn, Value):
     """U(q) = c sign(q) |q|^gamma.
 
     gamma = 2 takes the closed forms c |q| q and sqrt rather than the
@@ -69,12 +118,13 @@ class PowerLaw(HeadLossFn):
     raises ValueError.
     """
 
-    c: float
-    gamma: float
+    __slots__ = ("c", "gamma")
 
-    def __post_init__(self):
-        _check_positive("c", self.c)
-        _check_positive("gamma", self.gamma)
+    def __init__(self, c: float, gamma: float):
+        _check_positive("c", c)
+        _check_positive("gamma", gamma)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "gamma", gamma)
 
     def evaluate(self, q: float) -> float:
         gamma = self.gamma
@@ -118,19 +168,19 @@ def SignedQuadratic(c: float) -> PowerLaw:
     return PowerLaw(c, 2.0)
 
 
-@dataclass(frozen=True)
-class PipeSet:
+class PipeSet(Value):
     """Ordered parallel pipes between a shared inlet and outlet.
 
     Pipe indices are 1-based throughout the public API.
     """
 
-    pipes: tuple[HeadLossFn, ...]
+    __slots__ = ("pipes",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "pipes", tuple(self.pipes))
-        if len(self.pipes) < 1:
+    def __init__(self, pipes: tuple[HeadLossFn, ...]):
+        pipes = tuple(pipes)
+        if len(pipes) < 1:
             raise ValueError("need at least one pipe")
+        object.__setattr__(self, "pipes", pipes)
 
     @property
     def n(self) -> int:

@@ -8,25 +8,23 @@ expanding bracket finds the unique solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .headloss import PipeSet
+from .headloss import PipeSet, Value
 from .rootfind import NoRootError, brent, expand_bracket
 
 
-@dataclass(frozen=True)
-class PowerLawLeak:
+class PowerLawLeak(Value):
     """q_leak = C (h_leak - h_y)^beta, defined for h_leak > h_y."""
 
-    C: float
-    beta: float
-    h_y: float = 0.0
+    __slots__ = ("C", "beta", "h_y")
 
-    def __post_init__(self):
-        if self.C <= 0:
-            raise ValueError(f"C must be positive, got {self.C}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+    def __init__(self, C: float, beta: float, h_y: float = 0.0):
+        if C <= 0:
+            raise ValueError(f"C must be positive, got {C}")
+        if beta <= 0:
+            raise ValueError(f"beta must be positive, got {beta}")
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "h_y", h_y)
 
     def flow(self, h_leak: float) -> float:
         # clamped at h_y so the solver can probe below; the solved state is
@@ -40,15 +38,15 @@ class PowerLawLeak:
             raise ValueError(f"{self!r}.flow({h_leak!r}) is beyond the float range") from None
 
 
-@dataclass(frozen=True)
-class FixedDemand:
+class FixedDemand(Value):
     """Constant leak outflow, independent of pressure."""
 
-    q_leak: float
+    __slots__ = ("q_leak",)
 
-    def __post_init__(self):
-        if self.q_leak < 0:
-            raise ValueError(f"q_leak must be non-negative, got {self.q_leak}")
+    def __init__(self, q_leak: float):
+        if q_leak < 0:
+            raise ValueError(f"q_leak must be non-negative, got {q_leak}")
+        object.__setattr__(self, "q_leak", q_leak)
 
     def flow(self, h_leak: float) -> float:
         return self.q_leak
@@ -62,31 +60,33 @@ def SqrtLeak() -> PowerLawLeak:
 LeakFn = PowerLawLeak | FixedDemand
 
 
-@dataclass(frozen=True)
-class LeakSpec:
+class LeakSpec(Value):
     """Leak in pipe k at relative position x along the pipe."""
 
-    k: int
-    x: float
-    leak: LeakFn
+    __slots__ = ("k", "x", "leak")
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"pipe index k must be >= 1, got {self.k}")
-        if not 0.0 < self.x < 1.0:
-            raise ValueError(f"relative position x must be in (0,1), got {self.x}")
+    def __init__(self, k: int, x: float, leak: LeakFn):
+        if k < 1:
+            raise ValueError(f"pipe index k must be >= 1, got {k}")
+        if not 0.0 < x < 1.0:
+            raise ValueError(f"relative position x must be in (0,1), got {x}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "leak", leak)
 
 
-@dataclass(frozen=True)
-class HydraulicState:
+class HydraulicState(Value):
     """Steady state: the boundary heads, the leak head and the leaking pipe's
     two section flows. Every other pipe carries its law's flow at dh."""
 
-    h_in: float
-    h_out: float
-    q_in_k: float
-    q_out_k: float
-    h_leak: float
+    __slots__ = ("h_in", "h_out", "q_in_k", "q_out_k", "h_leak")
+
+    def __init__(self, h_in: float, h_out: float, q_in_k: float, q_out_k: float, h_leak: float):
+        object.__setattr__(self, "h_in", h_in)
+        object.__setattr__(self, "h_out", h_out)
+        object.__setattr__(self, "q_in_k", q_in_k)
+        object.__setattr__(self, "q_out_k", q_out_k)
+        object.__setattr__(self, "h_leak", h_leak)
 
     @property
     def dh(self) -> float:
@@ -97,14 +97,16 @@ class HydraulicState:
         return self.q_in_k - self.q_out_k
 
 
-@dataclass(frozen=True)
-class DataPoint:
+class DataPoint(Value):
     """One simultaneous reading of the four boundary sensors."""
 
-    h_in: float
-    h_out: float
-    q_in: float
-    q_out: float
+    __slots__ = ("h_in", "h_out", "q_in", "q_out")
+
+    def __init__(self, h_in: float, h_out: float, q_in: float, q_out: float):
+        object.__setattr__(self, "h_in", h_in)
+        object.__setattr__(self, "h_out", h_out)
+        object.__setattr__(self, "q_in", q_in)
+        object.__setattr__(self, "q_out", q_out)
 
     @property
     def dh(self) -> float:
@@ -164,12 +166,14 @@ def measure(state: HydraulicState, pipes: PipeSet, leak: LeakSpec) -> DataPoint:
     )
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Value):
     """Per-boundary-pair outcomes; failed points carry an error message."""
 
-    points: tuple[DataPoint | None, ...]
-    errors: dict[int, str]  # index -> message
+    __slots__ = ("points", "errors")
+
+    def __init__(self, points: tuple[DataPoint | None, ...], errors: dict[int, str]):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "errors", errors)  # index -> message
 
     def ok(self) -> list[DataPoint]:
         return [p for p in self.points if p is not None]

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
 
-from .headloss import HeadLossFn, PipeSet
+from .headloss import HeadLossFn, PipeSet, Value
 from .hydraulics import DataPoint
 from .localization import all_candidates
 from .sensitivity import detect_inherent_ambiguity
@@ -22,15 +21,28 @@ class TooFewPointsError(ValueError):
     """Too few data: fewer distinct states or leak flows than the method needs."""
 
 
-@dataclass(frozen=True)
-class IsolationVerdict:
-    candidate_series: dict[int, tuple[float, ...]]  # pipe -> x_j per data point
-    spreads: dict[int, float]  # pipe -> max - min of its series
-    isolated: bool
-    k_hat: int | None = None
-    x_hat: float | None = None
-    candidate_pipes: frozenset[int] = frozenset()
-    reason: str = ""
+class IsolationVerdict(Value):
+    __slots__ = (
+        "candidate_series", "spreads", "isolated", "k_hat", "x_hat", "candidate_pipes", "reason"
+    )
+
+    def __init__(
+        self,
+        candidate_series: dict[int, tuple[float, ...]],  # pipe -> x_j per data point
+        spreads: dict[int, float],  # pipe -> max - min of its series
+        isolated: bool,
+        k_hat: int | None = None,
+        x_hat: float | None = None,
+        candidate_pipes: frozenset[int] = frozenset(),
+        reason: str = "",
+    ):
+        object.__setattr__(self, "candidate_series", candidate_series)
+        object.__setattr__(self, "spreads", spreads)
+        object.__setattr__(self, "isolated", isolated)
+        object.__setattr__(self, "k_hat", k_hat)
+        object.__setattr__(self, "x_hat", x_hat)
+        object.__setattr__(self, "candidate_pipes", candidate_pipes)
+        object.__setattr__(self, "reason", reason)
 
 
 def isolate_by_consistency(
@@ -90,15 +102,26 @@ def apparent_leak_flow(d: DataPoint) -> float:
     return d.q_in - d.q_out
 
 
-@dataclass(frozen=True)
-class LeakFitResult:
-    j: int
-    C_j: float
-    beta_j: float
-    rmse: float
-    negative_head: bool
-    accepted: bool
-    samples: tuple[tuple[float, float], ...]  # the (h_leak, q_leak) pairs fitted
+class LeakFitResult(Value):
+    __slots__ = ("j", "C_j", "beta_j", "rmse", "negative_head", "accepted", "samples")
+
+    def __init__(
+        self,
+        j: int,
+        C_j: float,
+        beta_j: float,
+        rmse: float,
+        negative_head: bool,
+        accepted: bool,
+        samples: tuple[tuple[float, float], ...],  # the (h_leak, q_leak) pairs fitted
+    ):
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "C_j", C_j)
+        object.__setattr__(self, "beta_j", beta_j)
+        object.__setattr__(self, "rmse", rmse)
+        object.__setattr__(self, "negative_head", negative_head)
+        object.__setattr__(self, "accepted", accepted)
+        object.__setattr__(self, "samples", samples)
 
 
 def fit_leak_function(

@@ -8,10 +8,9 @@ pair is from explaining the data: one in head space, one in flow space.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from itertools import count, repeat
 
-from .headloss import HeadLossFn, PipeSet
+from .headloss import HeadLossFn, PipeSet, Value
 from .hydraulics import DataPoint
 from .rootfind import brent, expand_bracket
 
@@ -21,31 +20,39 @@ class NoLeakError(ValueError):
     two section head losses are equal."""
 
 
-@dataclass(frozen=True)
-class LeakCandidate:
+class LeakCandidate(Value):
     """The unique position in pipe j consistent with one data point."""
 
-    j: int
-    x_j: float
-    residual_check: float
+    __slots__ = ("j", "x_j", "residual_check")
+
+    def __init__(self, j: int, x_j: float, residual_check: float):
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "x_j", x_j)
+        object.__setattr__(self, "residual_check", residual_check)
 
 
-@dataclass(frozen=True)
-class PartialDataPoint:
+class PartialDataPoint(Value):
     """A data point with exactly one of the four sensors missing."""
 
-    h_in: float | None = None
-    h_out: float | None = None
-    q_in: float | None = None
-    q_out: float | None = None
+    __slots__ = ("h_in", "h_out", "q_in", "q_out")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        h_in: float | None = None,
+        h_out: float | None = None,
+        q_in: float | None = None,
+        q_out: float | None = None,
+    ):
+        object.__setattr__(self, "h_in", h_in)
+        object.__setattr__(self, "h_out", h_out)
+        object.__setattr__(self, "q_in", q_in)
+        object.__setattr__(self, "q_out", q_out)
         self.missing  # raises unless exactly one reading is None
 
     @property
     def missing(self) -> str:
         """The name of the one sensor without a reading."""
-        missing = [name for name, value in vars(self).items() if value is None]
+        missing = [name for name, value in self._asdict().items() if value is None]
         if len(missing) != 1:
             raise ValueError(f"exactly one field must be missing, got {missing}")
         return missing[0]
@@ -138,7 +145,7 @@ def complete_data_point(
     """
     if not 0.0 < x_j < 1.0:
         raise ValueError(f"x_j must be in (0,1), got {x_j}")
-    values = dict(vars(p))
+    values = p._asdict()
     missing = p.missing
     if missing == "q_out":
         values["q_out"] = estimate_outflow(pipes, j, x_j, p.h_in - p.h_out, p.q_in)

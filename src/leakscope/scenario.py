@@ -6,10 +6,9 @@ import inspect
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .headloss import Linear, PipeSet, PowerLaw, QuadraticPlusLinear, SignedQuadratic
+from .headloss import Linear, PipeSet, PowerLaw, QuadraticPlusLinear, SignedQuadratic, Value
 from .hydraulics import FixedDemand, LeakSpec, PowerLawLeak, SqrtLeak
 
 
@@ -21,21 +20,38 @@ class ScenarioError(ValueError):
         super().__init__("; ".join(problems))
 
 
-@dataclass(frozen=True)
-class AnalysisOptions:
-    eps_spread: float = 1e-6
-    eps_fit: float = 1e-6
-    nominal_dh: float | None = None
-    dh_grid: tuple[float, ...] | None = None
-    h_y: tuple[float, ...] | None = None  # per pipe
+class AnalysisOptions(Value):
+    __slots__ = ("eps_spread", "eps_fit", "nominal_dh", "dh_grid", "h_y")
+
+    def __init__(
+        self,
+        eps_spread: float = 1e-6,
+        eps_fit: float = 1e-6,
+        nominal_dh: float | None = None,
+        dh_grid: tuple[float, ...] | None = None,
+        h_y: tuple[float, ...] | None = None,  # per pipe
+    ):
+        object.__setattr__(self, "eps_spread", eps_spread)
+        object.__setattr__(self, "eps_fit", eps_fit)
+        object.__setattr__(self, "nominal_dh", nominal_dh)
+        object.__setattr__(self, "dh_grid", dh_grid)
+        object.__setattr__(self, "h_y", h_y)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    pipes: PipeSet
-    leak: LeakSpec
-    boundary: tuple[tuple[float, float], ...]
-    analysis: AnalysisOptions = field(default_factory=AnalysisOptions)
+class Scenario(Value):
+    __slots__ = ("pipes", "leak", "boundary", "analysis")
+
+    def __init__(
+        self,
+        pipes: PipeSet,
+        leak: LeakSpec,
+        boundary: tuple[tuple[float, float], ...],
+        analysis: AnalysisOptions = AnalysisOptions(),  # immutable, so one default serves all
+    ):
+        object.__setattr__(self, "pipes", pipes)
+        object.__setattr__(self, "leak", leak)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "analysis", analysis)
 
 
 # A rule is (what the value must be, test on the finite float).

@@ -8,9 +8,7 @@ sensitivity formula, and detection of pipe pairs no data can distinguish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .headloss import Linear, PipeSet, UnboundedDerivativeError
+from .headloss import Linear, PipeSet, UnboundedDerivativeError, Value
 from .hydraulics import DataPoint, LeakSpec
 from .localization import _outflow, _require_outlet
 from .rootfind import NoRootError, brent, expand_bracket
@@ -19,13 +17,15 @@ CURVE_TOL = 1e-10  # |residual| at which a confusion-curve point has converged
 CURVE_MAX_ITER = 100  # damped Newton steps per point before the bracketed fallback
 
 
-@dataclass(frozen=True)
-class SectionResistances:
+class SectionResistances(Value):
     """Slopes of the hypothesized leaking pipe's two sections."""
 
-    R_in: float
-    R_out: float
-    R_0: float
+    __slots__ = ("R_in", "R_out", "R_0")
+
+    def __init__(self, R_in: float, R_out: float, R_0: float):
+        object.__setattr__(self, "R_in", R_in)
+        object.__setattr__(self, "R_out", R_out)
+        object.__setattr__(self, "R_0", R_0)
 
     @property
     def ratio(self) -> float:
@@ -34,23 +34,34 @@ class SectionResistances:
         return self.R_in / self.R_out
 
 
-@dataclass(frozen=True)
-class ResidualDifferential:
+class ResidualDifferential(Value):
     """Partials of the flow-space residual w.r.t. q_in and the head loss."""
 
-    d_dqin: float
-    d_ddh: float
+    __slots__ = ("d_dqin", "d_ddh")
+
+    def __init__(self, d_dqin: float, d_ddh: float):
+        object.__setattr__(self, "d_dqin", d_dqin)
+        object.__setattr__(self, "d_ddh", d_ddh)
 
 
-@dataclass(frozen=True)
-class ConfusionFlowCurve:
+class ConfusionFlowCurve(Value):
     """Inflow trajectory along which pipe i cannot be rejected."""
 
-    i: int
-    dh_grid: tuple[float, ...]
-    q_in_conf: tuple[float, ...]
-    residual_trace: tuple[float, ...]
-    converged: tuple[bool, ...]
+    __slots__ = ("i", "dh_grid", "q_in_conf", "residual_trace", "converged")
+
+    def __init__(
+        self,
+        i: int,
+        dh_grid: tuple[float, ...],
+        q_in_conf: tuple[float, ...],
+        residual_trace: tuple[float, ...],
+        converged: tuple[bool, ...],
+    ):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "dh_grid", dh_grid)
+        object.__setattr__(self, "q_in_conf", q_in_conf)
+        object.__setattr__(self, "residual_trace", residual_trace)
+        object.__setattr__(self, "converged", converged)
 
 
 def section_resistances(
@@ -158,13 +169,20 @@ def _solve_point(f, seed: float) -> tuple[float, float, bool]:
     return q, fq, abs(fq) <= CURVE_TOL
 
 
-@dataclass(frozen=True)
-class ZeroDhSensitivity:
+class ZeroDhSensitivity(Value):
     """Residual slope in the head loss at a zero-head-loss state."""
 
-    value: float
-    distinct_out_resistance: bool  # R_out,i != R_out,k
-    nonlinear_section: bool  # R_in,i + R_out,i != R_0,i
+    __slots__ = ("value", "distinct_out_resistance", "nonlinear_section")
+
+    def __init__(
+        self,
+        value: float,
+        distinct_out_resistance: bool,  # R_out,i != R_out,k
+        nonlinear_section: bool,  # R_in,i + R_out,i != R_0,i
+    ):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "distinct_out_resistance", distinct_out_resistance)
+        object.__setattr__(self, "nonlinear_section", nonlinear_section)
 
 
 def _proportional(pipes: PipeSet) -> bool:

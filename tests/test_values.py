@@ -217,3 +217,15 @@ def test_identical_pairs_are_equal_laws():
         ((3, 4), "identical"),
         ((5, 6), "linear"),
     ]
+
+
+def test_replace_builds_a_checked_copy():
+    law = PowerLaw(1.0, 2.0)
+    assert law.replace(gamma=1.0) == Linear(1.0)
+    assert law == PowerLaw(1.0, 2.0)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        law.replace(gamma=0.0)
+    assert DataPoint(3.0, 1.0, 0.5, 0.25)._asdict() == {
+        "h_in": 3.0, "h_out": 1.0, "q_in": 0.5, "q_out": 0.25
+    }
+    assert FixedDemand(0.25)._asdict() == {"q_leak": 0.25}
