@@ -9,7 +9,6 @@ otherwise hopeless all-linear case).
 from __future__ import annotations
 
 import math
-import statistics
 
 from .headloss import HeadLossFn, PipeSet, Value
 from .hydraulics import DataPoint
@@ -152,13 +151,17 @@ def fit_leak_function(
     if max(log_h) == min(log_h):
         raise ValueError("zero variance in log pressure head; fit is degenerate")
     log_q = [math.log(q) for _, q in samples]
-    beta, log_C = statistics.linear_regression(log_h, log_q)
+    # ordinary least squares in the closed form of statistics.linear_regression
+    n = len(samples)
+    mean_h, mean_q = math.fsum(log_h) / n, math.fsum(log_q) / n
+    s_hq = math.fsum((x - mean_h) * (y - mean_q) for x, y in zip(log_h, log_q))
+    s_hh = math.fsum((x - mean_h) * (x - mean_h) for x in log_h)
+    beta = s_hq / s_hh
+    log_C = mean_q - beta * mean_h
     C = rmse = math.inf  # kept where the fitted law leaves the float range
     try:
         C = math.exp(log_C)
-        rmse = math.sqrt(
-            statistics.fmean((q - C * (h - h_y) ** beta) ** 2 for h, q in samples)
-        )
+        rmse = math.sqrt(math.fsum((q - C * (h - h_y) ** beta) ** 2 for h, q in samples) / n)
     except OverflowError:
         pass
     return LeakFitResult(

@@ -205,6 +205,19 @@ class TestIsolateByLeakFit:
         assert fits[1].rmse > 0.0 and not fits[1].negative_head
         assert fits[2].negative_head
 
+    def test_example3_fit_bits(self):
+        # the log-log fit is the closed form of statistics.linear_regression
+        # on Python 3.11; these bits hold on 3.10, 3.11 and 3.12
+        sc = parse_scenario(bundled_scenario("example3"))
+        data = sweep(sc.pipes, sc.leak, list(sc.boundary)).ok()
+        frozen = {c.j: c.x_j for c in all_candidates(sc.pipes, data[0])}
+        fits = isolate_by_leak_fit(sc.pipes, data, frozen)
+        assert [(f.j, f.C_j.hex(), f.beta_j.hex(), f.rmse.hex()) for f in fits] == [
+            (2, "0x1.8ffffffffffffp+5", "0x1.0000000000005p-1", "0x1.52069058b5b19p-42"),
+            (1, "0x1.ed863d82ae516p+4", "0x1.5244d028707bcp-1", "0x1.0543aecd83ac1p-1"),
+            (3, "nan", "nan", "inf"),
+        ]
+
     def test_cross_method_agreement(self, example1):
         # a network the consistency check already isolates: the fit agrees
         pipes, _, boundaries = example1
