@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import sys
@@ -71,18 +70,19 @@ STEPS = _integer(1, 1_000_000)
 # analysis options that a document or a command line flag may set
 _OPTION_RULES = {"eps_spread": NON_NEGATIVE, "eps_fit": NON_NEGATIVE, "nominal_dh": FINITE}
 
-# {type: (constructor, {field: rule})}; a field that is absent or null
-# takes the constructor's default, or is reported when it has none
+# {type: (constructor, {field: rule}, {optional field: rule})}; a required
+# field that is absent or null is reported, an optional one takes the
+# constructor's default
 _PIPE_TYPES = {
-    "linear": (Linear, {"R": POSITIVE}),
-    "signed_quadratic": (SignedQuadratic, {"c": POSITIVE}),
-    "quadratic_plus_linear": (QuadraticPlusLinear, {"c": POSITIVE}),
-    "power_law": (PowerLaw, {"c": POSITIVE, "gamma": POSITIVE}),
+    "linear": (Linear, {"R": POSITIVE}, {}),
+    "signed_quadratic": (SignedQuadratic, {"c": POSITIVE}, {}),
+    "quadratic_plus_linear": (QuadraticPlusLinear, {"c": POSITIVE}, {}),
+    "power_law": (PowerLaw, {"c": POSITIVE, "gamma": POSITIVE}, {}),
 }
 _LEAK_TYPES = {
-    "power_law_leak": (PowerLawLeak, {"C": POSITIVE, "beta": POSITIVE, "h_y": FINITE}),
-    "fixed_demand": (FixedDemand, {"q_leak": NON_NEGATIVE}),
-    "sqrt": (SqrtLeak, {}),
+    "power_law_leak": (PowerLawLeak, {"C": POSITIVE, "beta": POSITIVE}, {"h_y": FINITE}),
+    "fixed_demand": (FixedDemand, {"q_leak": NON_NEGATIVE}, {}),
+    "sqrt": (SqrtLeak, {}, {}),
 }
 
 
@@ -126,13 +126,12 @@ def _object(obj, path: str, problems: list[str], table: dict):
     if not isinstance(kind, str) or kind not in table:
         problems.append(f"{path}.type: expected one of {', '.join(table)}, got {kind!r}")
         return None
-    constructor, fields = table[kind]
-    _known(obj, path, problems, {"type", *fields})
+    constructor, required, optional = table[kind]
+    _known(obj, path, problems, {"type", *required, *optional})
     kwargs = {
         name: _number(obj.get(name), f"{path}.{name}", problems, rule)
-        for name, rule in fields.items()
-        if obj.get(name) is not None  # else only when the constructor has no default
-        or inspect.signature(constructor).parameters[name].default is inspect.Parameter.empty
+        for name, rule in (*required.items(), *optional.items())
+        if name in required or obj.get(name) is not None
     }
     return None if None in kwargs.values() else constructor(**kwargs)
 
