@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -5,10 +6,17 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# heavy stdlib modules that every CLI run would pay for at start-up
+SLOW_STDLIB = {"dataclasses", "inspect", "statistics", "fractions", "decimal"}
 
-def test_import_loads_no_numpy():
-    # leakscope has no runtime dependencies; numpy must not creep back in
-    code = "import sys, leakscope, leakscope.cli; print('numpy' in sys.modules)"
+
+def _modules_loaded_by(statement: str) -> set[str]:
+    """Modules that `statement` newly loads in a fresh interpreter; the
+    baseline is taken first, since `site` may already have loaded some."""
+    code = (
+        "import json, sys; before = set(sys.modules); "
+        f"{statement}; print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -16,4 +24,15 @@ def test_import_loads_no_numpy():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    return set(json.loads(out.stdout))
+
+
+def test_import_loads_no_numpy():
+    # leakscope has no runtime dependencies; numpy must not creep back in
+    assert "numpy" not in _modules_loaded_by("import leakscope, leakscope.cli")
+
+
+def test_cli_import_loads_no_slow_stdlib():
+    loaded = _modules_loaded_by("import leakscope.cli")
+    assert "leakscope.cli" in loaded
+    assert not loaded & SLOW_STDLIB
