@@ -50,7 +50,9 @@ class Value:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __reduce__(self):  # for copy and pickle, which would set the slots
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__; by default they would
+        # set the slots through __setattr__, which refuses
         return self.__class__, self.__class__._values(self)
 
     def _asdict(self) -> dict:
