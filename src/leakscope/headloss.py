@@ -17,8 +17,9 @@ from operator import attrgetter
 class Value:
     """Base of leakscope's immutable records, which behave as frozen dataclasses.
 
-    A subclass names its fields in `__slots__` and sets each once in its
-    `__init__` with `object.__setattr__`. Instances compare and hash by their
+    A subclass names its fields in `__slots__`. Its `__init__` checks its
+    arguments and then sets every field with one `self._set(...)` call, which
+    takes the values in `__slots__` order. Instances compare and hash by their
     fields within one class, repr as `Name(field=value, ...)`, and refuse
     assignment and deletion. Building a class runs no generated code, which
     keeps the import of leakscope short.
@@ -31,6 +32,14 @@ class Value:
         # all fields as one tuple, read at C speed: == and hash run per state
         get = attrgetter(*cls.__slots__)
         cls._values = get if len(cls.__slots__) > 1 else lambda self: (get(self),)
+        # the slot descriptors' own setters, which __setattr__ cannot block
+        setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+        def _set(self, *values):
+            for set_field, value in zip(setters, values):
+                set_field(self, value)
+
+        cls._set = _set
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -91,7 +100,7 @@ class QuadraticPlusLinear(HeadLossFn, Value):
 
     def __init__(self, c: float):
         _check_positive("c", c)
-        object.__setattr__(self, "c", c)
+        self._set(c)
 
     def evaluate(self, q: float) -> float:
         return self.c * (q * abs(q) + q)
@@ -125,8 +134,7 @@ class PowerLaw(HeadLossFn, Value):
     def __init__(self, c: float, gamma: float):
         _check_positive("c", c)
         _check_positive("gamma", gamma)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "gamma", gamma)
+        self._set(c, gamma)
 
     def evaluate(self, q: float) -> float:
         gamma = self.gamma
@@ -182,7 +190,7 @@ class PipeSet(Value):
         pipes = tuple(pipes)
         if len(pipes) < 1:
             raise ValueError("need at least one pipe")
-        object.__setattr__(self, "pipes", pipes)
+        self._set(pipes)
 
     @property
     def n(self) -> int:

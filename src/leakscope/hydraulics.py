@@ -8,6 +8,8 @@ expanding bracket finds the unique solution.
 
 from __future__ import annotations
 
+import math
+
 from .headloss import PipeSet, Value
 from .rootfind import NoRootError, brent, expand_bracket
 
@@ -22,9 +24,7 @@ class PowerLawLeak(Value):
             raise ValueError(f"C must be positive, got {C}")
         if beta <= 0:
             raise ValueError(f"beta must be positive, got {beta}")
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "h_y", h_y)
+        self._set(C, beta, h_y)
 
     def flow(self, h_leak: float) -> float:
         # clamped at h_y so the solver can probe below; the solved state is
@@ -46,7 +46,7 @@ class FixedDemand(Value):
     def __init__(self, q_leak: float):
         if q_leak < 0:
             raise ValueError(f"q_leak must be non-negative, got {q_leak}")
-        object.__setattr__(self, "q_leak", q_leak)
+        self._set(q_leak)
 
     def flow(self, h_leak: float) -> float:
         return self.q_leak
@@ -70,9 +70,7 @@ class LeakSpec(Value):
             raise ValueError(f"pipe index k must be >= 1, got {k}")
         if not 0.0 < x < 1.0:
             raise ValueError(f"relative position x must be in (0,1), got {x}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "leak", leak)
+        self._set(k, x, leak)
 
 
 class HydraulicState(Value):
@@ -82,11 +80,7 @@ class HydraulicState(Value):
     __slots__ = ("h_in", "h_out", "q_in_k", "q_out_k", "h_leak")
 
     def __init__(self, h_in: float, h_out: float, q_in_k: float, q_out_k: float, h_leak: float):
-        object.__setattr__(self, "h_in", h_in)
-        object.__setattr__(self, "h_out", h_out)
-        object.__setattr__(self, "q_in_k", q_in_k)
-        object.__setattr__(self, "q_out_k", q_out_k)
-        object.__setattr__(self, "h_leak", h_leak)
+        self._set(h_in, h_out, q_in_k, q_out_k, h_leak)
 
     @property
     def dh(self) -> float:
@@ -103,10 +97,7 @@ class DataPoint(Value):
     __slots__ = ("h_in", "h_out", "q_in", "q_out")
 
     def __init__(self, h_in: float, h_out: float, q_in: float, q_out: float):
-        object.__setattr__(self, "h_in", h_in)
-        object.__setattr__(self, "h_out", h_out)
-        object.__setattr__(self, "q_in", q_in)
-        object.__setattr__(self, "q_out", q_out)
+        self._set(h_in, h_out, q_in, q_out)
 
     @property
     def dh(self) -> float:
@@ -144,26 +135,20 @@ def solve_leaky_state(
             f"{leak.leak.h_y}; the leak law is inconsistent with these boundary heads"
         )
 
-    return HydraulicState(
-        h_in=h_in,
-        h_out=h_out,
-        q_in_k=U_k.invert((h_in - h_leak) / x),
-        q_out_k=U_k.invert((h_leak - h_out) / (1.0 - x)),
-        h_leak=h_leak,
-    )
+    q_in_k = U_k.invert((h_in - h_leak) / x)
+    q_out_k = U_k.invert((h_leak - h_out) / (1.0 - x))
+    # by position: keywords cost more, and this runs once per state
+    return HydraulicState(h_in, h_out, q_in_k, q_out_k, h_leak)
 
 
 def measure(state: HydraulicState, pipes: PipeSet, leak: LeakSpec) -> DataPoint:
     """Collapse a state into the four boundary sensor readings: the leaking
     pipe's section flows plus the flow through all other pipes at dh."""
     dh = state.dh
-    through = sum(p.invert(dh) for i, p in enumerate(pipes.pipes, start=1) if i != leak.k)
-    return DataPoint(
-        h_in=state.h_in,
-        h_out=state.h_out,
-        q_in=state.q_in_k + through,
-        q_out=state.q_out_k + through,
-    )
+    # fsum rounds once; sum() accumulates differently from Python 3.12 on
+    through = math.fsum(p.invert(dh) for i, p in enumerate(pipes.pipes, start=1) if i != leak.k)
+    # by position: keywords cost more, and this runs once per state
+    return DataPoint(state.h_in, state.h_out, state.q_in_k + through, state.q_out_k + through)
 
 
 class SweepResult(Value):
@@ -172,8 +157,7 @@ class SweepResult(Value):
     __slots__ = ("points", "errors")
 
     def __init__(self, points: tuple[DataPoint | None, ...], errors: dict[int, str]):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "errors", errors)  # index -> message
+        self._set(points, errors)  # errors: index -> message
 
     def ok(self) -> list[DataPoint]:
         return [p for p in self.points if p is not None]

@@ -35,13 +35,7 @@ class IsolationVerdict(Value):
         candidate_pipes: frozenset[int] = frozenset(),
         reason: str = "",
     ):
-        object.__setattr__(self, "candidate_series", candidate_series)
-        object.__setattr__(self, "spreads", spreads)
-        object.__setattr__(self, "isolated", isolated)
-        object.__setattr__(self, "k_hat", k_hat)
-        object.__setattr__(self, "x_hat", x_hat)
-        object.__setattr__(self, "candidate_pipes", candidate_pipes)
-        object.__setattr__(self, "reason", reason)
+        self._set(candidate_series, spreads, isolated, k_hat, x_hat, candidate_pipes, reason)
 
 
 def isolate_by_consistency(
@@ -81,7 +75,8 @@ def isolate_by_consistency(
         spreads=spreads,
         isolated=k_hat is not None,
         k_hat=k_hat,
-        x_hat=None if k_hat is None else sum(series[k_hat]) / len(series[k_hat]),
+        # fsum rounds once; sum() accumulates differently from Python 3.12 on
+        x_hat=None if k_hat is None else math.fsum(series[k_hat]) / len(series[k_hat]),
         candidate_pipes=frozenset(plausible if k_hat is None else ()),
         reason=reason,
     )
@@ -114,13 +109,7 @@ class LeakFitResult(Value):
         accepted: bool,
         samples: tuple[tuple[float, float], ...],  # the (h_leak, q_leak) pairs fitted
     ):
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "C_j", C_j)
-        object.__setattr__(self, "beta_j", beta_j)
-        object.__setattr__(self, "rmse", rmse)
-        object.__setattr__(self, "negative_head", negative_head)
-        object.__setattr__(self, "accepted", accepted)
-        object.__setattr__(self, "samples", samples)
+        self._set(j, C_j, beta_j, rmse, negative_head, accepted, samples)
 
 
 def fit_leak_function(

@@ -26,9 +26,7 @@ class LeakCandidate(Value):
     __slots__ = ("j", "x_j", "residual_check")
 
     def __init__(self, j: int, x_j: float, residual_check: float):
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "x_j", x_j)
-        object.__setattr__(self, "residual_check", residual_check)
+        self._set(j, x_j, residual_check)
 
 
 class PartialDataPoint(Value):
@@ -43,10 +41,7 @@ class PartialDataPoint(Value):
         q_in: float | None = None,
         q_out: float | None = None,
     ):
-        object.__setattr__(self, "h_in", h_in)
-        object.__setattr__(self, "h_out", h_out)
-        object.__setattr__(self, "q_in", q_in)
-        object.__setattr__(self, "q_out", q_out)
+        self._set(h_in, h_out, q_in, q_out)
         self.missing  # raises unless exactly one reading is None
 
     @property
@@ -90,9 +85,8 @@ def _candidate(U_j: HeadLossFn, j: int, G: float, d: DataPoint) -> LeakCandidate
             "the data point is not consistent with a single leak",
             stacklevel=3,
         )
-    return LeakCandidate(
-        j=j, x_j=x_j, residual_check=dh - x_j * head_in - (1.0 - x_j) * head_out
-    )
+    # by position: keywords cost more, and this runs once per pipe and state
+    return LeakCandidate(j, x_j, dh - x_j * head_in - (1.0 - x_j) * head_out)
 
 
 def _require_outlet(j: int, x_j: float) -> None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 EPS = sys.float_info.epsilon
 MAX_ITER = 200  # zeroin steps before brent returns its current estimate

@@ -30,11 +30,7 @@ class AnalysisOptions(Value):
         dh_grid: tuple[float, ...] | None = None,
         h_y: tuple[float, ...] | None = None,  # per pipe
     ):
-        object.__setattr__(self, "eps_spread", eps_spread)
-        object.__setattr__(self, "eps_fit", eps_fit)
-        object.__setattr__(self, "nominal_dh", nominal_dh)
-        object.__setattr__(self, "dh_grid", dh_grid)
-        object.__setattr__(self, "h_y", h_y)
+        self._set(eps_spread, eps_fit, nominal_dh, dh_grid, h_y)
 
 
 class Scenario(Value):
@@ -47,10 +43,7 @@ class Scenario(Value):
         boundary: tuple[tuple[float, float], ...],
         analysis: AnalysisOptions = AnalysisOptions(),  # immutable, so one default serves all
     ):
-        object.__setattr__(self, "pipes", pipes)
-        object.__setattr__(self, "leak", leak)
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "analysis", analysis)
+        self._set(pipes, leak, boundary, analysis)
 
 
 # A rule is (what the value must be, test on the finite float).

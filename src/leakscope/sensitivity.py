@@ -23,9 +23,7 @@ class SectionResistances(Value):
     __slots__ = ("R_in", "R_out", "R_0")
 
     def __init__(self, R_in: float, R_out: float, R_0: float):
-        object.__setattr__(self, "R_in", R_in)
-        object.__setattr__(self, "R_out", R_out)
-        object.__setattr__(self, "R_0", R_0)
+        self._set(R_in, R_out, R_0)
 
     @property
     def ratio(self) -> float:
@@ -40,8 +38,7 @@ class ResidualDifferential(Value):
     __slots__ = ("d_dqin", "d_ddh")
 
     def __init__(self, d_dqin: float, d_ddh: float):
-        object.__setattr__(self, "d_dqin", d_dqin)
-        object.__setattr__(self, "d_ddh", d_ddh)
+        self._set(d_dqin, d_ddh)
 
 
 class ConfusionFlowCurve(Value):
@@ -57,11 +54,7 @@ class ConfusionFlowCurve(Value):
         residual_trace: tuple[float, ...],
         converged: tuple[bool, ...],
     ):
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "dh_grid", dh_grid)
-        object.__setattr__(self, "q_in_conf", q_in_conf)
-        object.__setattr__(self, "residual_trace", residual_trace)
-        object.__setattr__(self, "converged", converged)
+        self._set(i, dh_grid, q_in_conf, residual_trace, converged)
 
 
 def section_resistances(
@@ -180,9 +173,7 @@ class ZeroDhSensitivity(Value):
         distinct_out_resistance: bool,  # R_out,i != R_out,k
         nonlinear_section: bool,  # R_in,i + R_out,i != R_0,i
     ):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "distinct_out_resistance", distinct_out_resistance)
-        object.__setattr__(self, "nonlinear_section", nonlinear_section)
+        self._set(value, distinct_out_resistance, nonlinear_section)
 
 
 def _proportional(pipes: PipeSet) -> bool:

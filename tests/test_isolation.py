@@ -93,7 +93,7 @@ class TestConsistency:
         }
         if fields["isolated"]:
             k_hat = fields["k_hat"]
-            fields = {**fields, "x_hat": sum(series[k_hat]) / len(series[k_hat])}
+            fields = {**fields, "x_hat": math.fsum(series[k_hat]) / len(series[k_hat])}
         assert isolate_by_consistency(sc.pipes, data, eps_spread=eps) == IsolationVerdict(
             candidate_series=series,
             spreads={j: max(s) - min(s) for j, s in series.items()},

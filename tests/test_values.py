@@ -2,12 +2,18 @@
 messages quote, equality and hashing by field within one class, immutability,
 copying, and the two helpers that read every field."""
 
+import ast
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 import re
+import textwrap
 
 import pytest
 
+import leakscope
 from leakscope import (
     ConfusionFlowCurve,
     DataPoint,
@@ -29,6 +35,7 @@ from leakscope import (
     SqrtLeak,
     detect_inherent_ambiguity,
 )
+from leakscope.headloss import Value
 from leakscope.hydraulics import SweepResult
 from leakscope.scenario import AnalysisOptions
 from leakscope.sensitivity import ResidualDifferential, ZeroDhSensitivity
@@ -151,6 +158,34 @@ def test_copies_are_equal(name):
     obj = make()
     for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
         assert type(twin) is type(obj) and twin == obj
+
+
+def test_every_record_class_is_checked():
+    # the checks that catch a wrong _set call run over VALUES, so every record
+    # class of the package must be in it
+    for module in pkgutil.iter_modules(leakscope.__path__):
+        importlib.import_module(f"leakscope.{module.name}")
+    records, todo = set(), [Value]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("leakscope."):  # not a class a test defines
+                records.add(cls.__qualname__)
+    assert records == set(VALUES)
+
+
+@values
+def test_init_sets_every_field_in_slot_order(name):
+    # _set pairs its values with __slots__ in order and drops any beyond the
+    # last field, so each __init__ passes its own fields' names in that order
+    cls = type(VALUES[name][0]())
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls.__init__)))
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_set"
+    ]
+    assert len(calls) == 1
+    assert [ast.unparse(arg) for arg in calls[0].args] == list(cls.__slots__)
 
 
 def test_unequal_values():
