@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
-from bisect import bisect_left
-from pathlib import Path
 
-from . import localization, sensitivity
+from .headloss import detect_inherent_ambiguity
 from .hydraulics import measure, solve_leaky_state, sweep
-from .isolation import TooFewPointsError, isolate_by_consistency, isolate_by_leak_fit
 from .scenario import Scenario, ScenarioError, parse_scenario, read_options
-from .sensitivity import confusion_flow_curve, detect_inherent_ambiguity
+
+# Each command imports the layers it runs beyond the forward solve, so a
+# process loads only those.
 
 
 def _fmt(value) -> str:
@@ -25,7 +25,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -34,7 +34,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _write_rows(
-    sc: Scenario, path: Path, header: list[str], prefixes: list[list], cells
+    sc: Scenario, path: str, header: list[str], prefixes: list[list], cells
 ) -> int:
     """Write one row per prefix, whose entries 1 and 2 are h_in and h_out:
     the prefix, the measured q_in and q_out, `cells(state, d)` for the solved
@@ -56,7 +56,7 @@ def _write_rows(
     return 1 if prefixes and not any_ok else 0
 
 
-def _boundary_rows(sc: Scenario, path: Path, columns: list[str], cells) -> int:
+def _boundary_rows(sc: Scenario, path: str, columns: list[str], cells) -> int:
     """One row per boundary pair."""
     header = ["index", "h_in", "h_out", "dh", "q_in", "q_out", *columns, "error"]
     prefixes = [
@@ -65,30 +65,34 @@ def _boundary_rows(sc: Scenario, path: Path, columns: list[str], cells) -> int:
     return _write_rows(sc, path, header, prefixes, cells)
 
 
-def _cmd_simulate(sc: Scenario, out: Path) -> int:
+def _cmd_simulate(sc: Scenario, out: str) -> int:
     return _boundary_rows(
-        sc, out / "simulate.csv", ["h_leak", "q_leak", "q_in_k", "q_out_k"],
+        sc, os.path.join(out, "simulate.csv"), ["h_leak", "q_leak", "q_in_k", "q_out_k"],
         lambda state, d: [state.h_leak, state.q_leak, state.q_in_k, state.q_out_k],
     )
 
 
-def _cmd_candidates(sc: Scenario, out: Path) -> int:
+def _cmd_candidates(sc: Scenario, out: str) -> int:
+    from .localization import all_candidates
+
     return _boundary_rows(
-        sc, out / "candidates.csv", [f"x_{j}" for j in range(1, sc.pipes.n + 1)],
-        lambda state, d: [c.x_j for c in localization.all_candidates(sc.pipes, d)],
+        sc, os.path.join(out, "candidates.csv"), [f"x_{j}" for j in range(1, sc.pipes.n + 1)],
+        lambda state, d: [c.x_j for c in all_candidates(sc.pipes, d)],
     )
 
 
 def _nominal_point(sc: Scenario):
     """The nominal data point, its candidate per pipe in pipe order (frozen
     for the analysis commands), and the outlet head it was solved at."""
+    from .localization import all_candidates
+
     nominal_dh = sc.analysis.nominal_dh
     if nominal_dh is None:
         raise ScenarioError(["analysis.nominal_dh (or --nominal-dh) is required"])
     h_out = sc.boundary[0][1] if sc.boundary else 1.0
     state = solve_leaky_state(sc.pipes, sc.leak, h_out + nominal_dh, h_out)
     d = measure(state, sc.pipes, sc.leak)
-    frozen = [c.x_j for c in localization.all_candidates(sc.pipes, d)]
+    frozen = [c.x_j for c in all_candidates(sc.pipes, d)]
     return d, frozen, h_out
 
 
@@ -98,7 +102,9 @@ def _dh_grid(sc: Scenario):
     return list(sc.analysis.dh_grid)
 
 
-def _cmd_residual_sweep(sc: Scenario, out: Path) -> int:
+def _cmd_residual_sweep(sc: Scenario, out: str) -> int:
+    from .localization import residual_bar
+
     _, frozen, h_out = _nominal_point(sc)
     header = ["dh", "h_in", "h_out", "q_in", "q_out"] + [
         f"rbar_{j}" for j in range(1, sc.pipes.n + 1)
@@ -106,17 +112,21 @@ def _cmd_residual_sweep(sc: Scenario, out: Path) -> int:
 
     def cells(state, d):
         return [
-            localization.residual_bar(sc.pipes, j, x_j, d)
+            residual_bar(sc.pipes, j, x_j, d)
             for j, x_j in enumerate(frozen, start=1)
         ]
 
     prefixes = [[dh, h_out + dh, h_out] for dh in _dh_grid(sc)]
-    return _write_rows(sc, out / "residual_sweep.csv", header, prefixes, cells)
+    return _write_rows(sc, os.path.join(out, "residual_sweep.csv"), header, prefixes, cells)
 
 
-def _cmd_confusion(sc: Scenario, out: Path) -> int:
+def _cmd_confusion(sc: Scenario, out: str) -> int:
     """Each pipe's curve is continued from the nominal point outward, up the
     grid from nominal_dh and down it below; rows come in grid order."""
+    from bisect import bisect_left
+
+    from .sensitivity import confusion_flow_curve
+
     nominal, frozen, _ = _nominal_point(sc)
     grid = sorted(_dh_grid(sc))
     split = bisect_left(grid, sc.analysis.nominal_dh)
@@ -132,15 +142,17 @@ def _cmd_confusion(sc: Scenario, out: Path) -> int:
     for i, x_i in enumerate(frozen, start=1):
         rows += curve_rows(i, x_i, grid[:split][::-1])[::-1] + curve_rows(i, x_i, grid[split:])
     header = ["pipe", "dh", "q_in_conf", "residual", "converged"]
-    _write_csv(out / "confusion.csv", header, rows)
+    _write_csv(os.path.join(out, "confusion.csv"), header, rows)
     return 0
 
 
-def _cmd_isolate(sc: Scenario, out: Path) -> int:
+def _cmd_isolate(sc: Scenario, out: str) -> int:
+    from .isolation import isolate_by_consistency
+
     result = sweep(sc.pipes, sc.leak, list(sc.boundary))
     verdict = isolate_by_consistency(sc.pipes, result.ok(), eps_spread=sc.analysis.eps_spread)
     _write_csv(
-        out / "isolate_summary.csv",
+        os.path.join(out, "isolate_summary.csv"),
         ["isolated", "k_hat", "x_hat", "candidate_pipes", "reason"],
         [[
             verdict.isolated,
@@ -151,7 +163,7 @@ def _cmd_isolate(sc: Scenario, out: Path) -> int:
         ]],
     )
     _write_csv(
-        out / "isolate_spreads.csv",
+        os.path.join(out, "isolate_spreads.csv"),
         ["pipe", "spread", "plausible"],
         [
             [j, verdict.spreads[j], verdict.spreads[j] <= sc.analysis.eps_spread]
@@ -161,12 +173,15 @@ def _cmd_isolate(sc: Scenario, out: Path) -> int:
     return 0
 
 
-def _cmd_leakfit(sc: Scenario, out: Path) -> int:
+def _cmd_leakfit(sc: Scenario, out: str) -> int:
+    from .isolation import TooFewPointsError, isolate_by_leak_fit
+    from .localization import all_candidates
+
     result = sweep(sc.pipes, sc.leak, list(sc.boundary))
     data = result.ok()
     if len(data) < 3:
         raise TooFewPointsError(f"need at least 3 data points, got {len(data)}")
-    frozen = {c.j: c.x_j for c in localization.all_candidates(sc.pipes, data[0])}
+    frozen = {c.j: c.x_j for c in all_candidates(sc.pipes, data[0])}
     h_y = (
         {j: sc.analysis.h_y[j - 1] for j in frozen}
         if sc.analysis.h_y is not None
@@ -174,7 +189,7 @@ def _cmd_leakfit(sc: Scenario, out: Path) -> int:
     )
     fits = isolate_by_leak_fit(sc.pipes, data, frozen, h_y=h_y, eps_fit=sc.analysis.eps_fit)
     _write_csv(
-        out / "leakfit_samples.csv",
+        os.path.join(out, "leakfit_samples.csv"),
         ["pipe", "index", "h_leak_j", "q_leak"],
         [
             [r.j, idx, h_leak, q_leak]
@@ -183,7 +198,7 @@ def _cmd_leakfit(sc: Scenario, out: Path) -> int:
         ],
     )
     _write_csv(
-        out / "leakfit_results.csv",
+        os.path.join(out, "leakfit_results.csv"),
         ["rank", "pipe", "C", "beta", "rmse", "negative_head", "accepted"],
         [
             [rank, r.j, r.C_j, r.beta_j, r.rmse, r.negative_head, r.accepted]
@@ -193,10 +208,10 @@ def _cmd_leakfit(sc: Scenario, out: Path) -> int:
     return 0
 
 
-def _cmd_check(sc: Scenario, out: Path) -> int:
+def _cmd_check(sc: Scenario, out: str) -> int:
     flagged = detect_inherent_ambiguity(sc.pipes)
     _write_csv(
-        out / "check.csv",
+        os.path.join(out, "check.csv"),
         ["pipe_a", "pipe_b", "reason"],
         [[a, b, reason] for (a, b), reason in flagged],
     )
@@ -244,10 +259,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {problem}", file=sys.stderr)
         return 2
     sc = sc.replace(analysis=sc.analysis.replace(**overrides))
-    out = Path(args.out)
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](sc, out)
+        os.makedirs(args.out, exist_ok=True)
+        return _COMMANDS[args.command](sc, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,5 @@
-"""Pipe head loss laws and admittance sums over a set of parallel pipes.
+"""Pipe head loss laws, admittance sums over a set of parallel pipes, and
+the pipe pairs whose laws no data can tell apart.
 
 All loss laws are odd, strictly increasing bijections of the real line,
 so the inverse exists everywhere, and every law inverts in closed form.
@@ -234,3 +235,21 @@ class PipeSet(Value):
                 )
             total += 1.0 / slope
         return total
+
+
+def detect_inherent_ambiguity(pipes: PipeSet) -> list[tuple[tuple[int, int], str]]:
+    """Pipe pairs no amount of data can tell apart.
+
+    Structurally identical laws are indistinguishable, and so are any two
+    linear laws regardless of their resistances.
+    """
+    linear = Linear(1.0).shape_key()
+    flagged: list[tuple[tuple[int, int], str]] = []
+    for a in range(1, pipes.n + 1):
+        for b in range(a + 1, pipes.n + 1):
+            pa, pb = pipes.pipe(a), pipes.pipe(b)
+            if pa == pb:
+                flagged.append(((a, b), "identical"))
+            elif pa.shape_key() == pb.shape_key() == linear:
+                flagged.append(((a, b), "linear"))
+    return flagged

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 
-from .headloss import HeadLossFn, PipeSet, Value
+# all_candidates is looked up at each call: bench/tracing.py swaps functions in
+# the loaded modules and puts them back, and this module may load in between
+from . import localization
+from .headloss import HeadLossFn, PipeSet, Value, detect_inherent_ambiguity
 from .hydraulics import DataPoint
-from .localization import all_candidates
-from .sensitivity import detect_inherent_ambiguity
 
 
 class TooFewPointsError(ValueError):
@@ -50,7 +51,7 @@ def isolate_by_consistency(
 
     series: dict[int, list[float]] = {j: [] for j in range(1, pipes.n + 1)}
     for d in data:
-        for cand in all_candidates(pipes, d):
+        for cand in localization.all_candidates(pipes, d):
             series[cand.j].append(cand.x_j)
     spreads = {j: max(s) - min(s) for j, s in series.items()}
     plausible = sorted(j for j, sp in spreads.items() if sp <= eps_spread)

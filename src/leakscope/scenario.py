@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
-from pathlib import Path
 
 from .headloss import Linear, PipeSet, PowerLaw, QuadraticPlusLinear, SignedQuadratic, Value
 from .hydraulics import FixedDemand, LeakSpec, PowerLawLeak, SqrtLeak
@@ -219,11 +219,12 @@ def load_scenario(doc: dict) -> Scenario:
     )
 
 
-def parse_scenario(path: str | Path) -> Scenario:
-    """Read, parse, and validate a scenario file."""
-    path = Path(path)
+def parse_scenario(path: str | os.PathLike) -> Scenario:
+    """Read, parse, and validate a scenario file. JSON is UTF-8 (RFC 8259),
+    so `json.loads` decodes the bytes, whatever the locale's encoding."""
     try:
-        doc = json.loads(path.read_text())
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read())
     except OSError as exc:
         raise ScenarioError([f"{path}: cannot read file: {exc.strerror or exc}"])
     except json.JSONDecodeError as exc:

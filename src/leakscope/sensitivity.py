@@ -2,13 +2,13 @@
 
 Quantifies how the wrong-pipe residual reacts to perturbations of the
 hydraulic state: section resistances, the residual differential, confusion
-flow curves along which a wrong pipe stays plausible, the zero-head-loss
-sensitivity formula, and detection of pipe pairs no data can distinguish.
+flow curves along which a wrong pipe stays plausible, and the
+zero-head-loss sensitivity formula.
 """
 
 from __future__ import annotations
 
-from .headloss import Linear, PipeSet, UnboundedDerivativeError, Value
+from .headloss import PipeSet, UnboundedDerivativeError, Value
 from .hydraulics import DataPoint, LeakSpec
 from .localization import _outflow, _require_outlet
 from .rootfind import NoRootError, brent, expand_bracket
@@ -208,20 +208,3 @@ def zero_dh_sensitivity(
         nonlinear_section=sec_i.R_in + sec_i.R_out != sec_i.R_0,
     )
 
-
-def detect_inherent_ambiguity(pipes: PipeSet) -> list[tuple[tuple[int, int], str]]:
-    """Pipe pairs no amount of data can tell apart.
-
-    Structurally identical laws are indistinguishable, and so are any two
-    linear laws regardless of their resistances.
-    """
-    linear = Linear(1.0).shape_key()
-    flagged: list[tuple[tuple[int, int], str]] = []
-    for a in range(1, pipes.n + 1):
-        for b in range(a + 1, pipes.n + 1):
-            pa, pb = pipes.pipe(a), pipes.pipe(b)
-            if pa == pb:
-                flagged.append(((a, b), "identical"))
-            elif pa.shape_key() == pb.shape_key() == linear:
-                flagged.append(((a, b), "linear"))
-    return flagged

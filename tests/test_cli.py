@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from leakscope.cli import main
 from leakscope.scenario import Scenario, ScenarioError, load_scenario
 
 NAN = float("nan")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 HEADERS = {
     "simulate.csv": "index,h_in,h_out,dh,q_in,q_out,h_leak,q_leak,q_in_k,q_out_k,error",
@@ -147,6 +151,28 @@ class TestScenarioParsing:
         assert run("simulate", path, tmp_path / "out") == 2
         err_lines = capsys.readouterr().err.splitlines()
         assert len(err_lines) == 1 and err_lines[0].startswith(f"error: {path}: ")
+
+    def test_utf8_document_read_whatever_the_locale(self, tmp_path):
+        # JSON is UTF-8; an ASCII locale must not decide how the file decodes
+        doc = json.loads(bundled_scenario("example1").read_text())
+        doc.setdefault("analysis", {})["épsilon"] = 1.0
+        path = tmp_path / "accent.json"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        env = dict(os.environ, LC_ALL="POSIX", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=str(SRC))
+        code = "import sys; from leakscope.cli import main; sys.exit(main())"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "check", "--scenario", str(path),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True,
+        )
+        # the ASCII stderr escapes the é of the key it names
+        assert (proc.returncode, proc.stderr) == (2, b"error: analysis.\\xe9psilon: unknown key\n")
+
+    def test_utf8_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + bundled_scenario("example2").read_bytes())
+        assert parse_scenario(path) == parse_scenario(bundled_scenario("example2"))
 
     def test_cli_exit_code_on_bad_scenario(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,13 +1,45 @@
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import leakscope
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # heavy stdlib modules that every CLI run would pay for at start-up
 SLOW_STDLIB = {"dataclasses", "inspect", "statistics", "fractions", "decimal"}
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(leakscope.__path__))
+
+# the leakscope modules each command loads: the forward solve, and the layers
+# the command runs on top of it
+SOLVE = {"", "cli", "scenario", "headloss", "hydraulics", "rootfind"}
+COMMAND_MODULES = {
+    ("simulate", "example1"): SOLVE,
+    ("check", "example1"): SOLVE,
+    ("candidates", "example1"): SOLVE | {"localization"},
+    ("residual-sweep", "example2"): SOLVE | {"localization"},
+    ("isolate", "example1"): SOLVE | {"localization", "isolation"},
+    ("leakfit", "example3"): SOLVE | {"localization", "isolation"},
+    ("confusion", "example2"): SOLVE | {"localization", "sensitivity"},
+}
+
+
+def _python(code: str, *flags: str) -> str:
+    """Standard output of `code` run in a fresh interpreter started with `flags`."""
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout
 
 
 def _modules_loaded_by(statement: str, *flags: str) -> set[str]:
@@ -18,14 +50,7 @@ def _modules_loaded_by(statement: str, *flags: str) -> set[str]:
         "import json, sys; before = set(sys.modules); "
         f"{statement}; print(json.dumps(sorted(set(sys.modules) - before)))"
     )
-    out = subprocess.run(
-        [sys.executable, *flags, "-c", code],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return set(json.loads(out.stdout))
+    return set(json.loads(_python(code, *flags)))
 
 
 def test_import_loads_no_numpy():
@@ -40,8 +65,76 @@ def test_cli_import_loads_no_slow_stdlib():
 
 
 def test_cli_import_loads_no_typing_without_site():
-    # `site` may import typing itself and so hide it from the test above;
-    # -S starts the interpreter without `site`
+    # `site` may import typing and pathlib itself and so hide them from the
+    # test above; -S starts the interpreter without `site`
     loaded = _modules_loaded_by("import leakscope.cli", "-S")
     assert "leakscope.cli" in loaded
-    assert "typing" not in loaded
+    assert not loaded & {"typing", "pathlib"}
+
+
+def test_package_import_loads_no_submodule():
+    loaded = _modules_loaded_by("import leakscope")
+    assert {m for m in loaded if m.startswith("leakscope")} == {"leakscope"}
+
+
+@pytest.mark.parametrize("command,scenario", sorted(COMMAND_MODULES))
+def test_command_loads_only_its_modules(command, scenario, tmp_path):
+    argv = [command, "--scenario", str(leakscope.bundled_scenario(scenario)),
+            "--out", str(tmp_path)]
+    loaded = _modules_loaded_by(f"from leakscope.cli import main; assert main({argv!r}) == 0")
+    want = {"leakscope" + (f".{m}" if m else "") for m in COMMAND_MODULES[command, scenario]}
+    assert {m for m in loaded if m.startswith("leakscope")} == want
+
+
+# -- the package's lazy exports (PEP 562), each in a fresh interpreter ----------
+
+
+def test_every_submodule_resolves_after_a_bare_import():
+    code = (
+        "import json, leakscope; "
+        f"print(json.dumps([getattr(leakscope, m).__name__ for m in {SUBMODULES!r}]))"
+    )
+    assert json.loads(_python(code)) == [f"leakscope.{m}" for m in SUBMODULES]
+
+
+def test_star_import_binds_every_name_in_all():
+    code = (
+        "import json; ns = {}; exec('from leakscope import *', ns); import leakscope; "
+        "print(json.dumps([[n, n in ns and ns[n] is getattr(leakscope, n), n in dir(leakscope)]"
+        " for n in leakscope.__all__]))"
+    )
+    rows = json.loads(_python(code))
+    assert {name for name, _, _ in rows} >= {"measure", "parse_scenario", "bundled_scenario"}
+    assert [name for name, bound, listed in rows if not (bound and listed)] == []
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    code = (
+        "import leakscope\n"
+        "try:\n    leakscope.no_such_name\n"
+        "except AttributeError as exc:\n    print(exc)"
+    )
+    assert "no_such_name" in _python(code)
+
+
+def test_a_used_name_is_cached_in_the_package_globals():
+    # hot loops look names up in the module dict and never reach __getattr__
+    code = (
+        "import leakscope; before = 'measure' in vars(leakscope); m = leakscope.measure; "
+        "print(before, vars(leakscope)['measure'] is m is leakscope.hydraulics.measure)"
+    )
+    assert _python(code).split() == ["False", "True"]
+
+
+def test_a_module_loaded_during_a_swap_keeps_no_copy_of_it():
+    # bench/tracing.py swaps functions in the loaded modules and later puts
+    # them back; a module that loads in between must not keep the swap
+    code = (
+        "import sys, leakscope.localization as loc; original = loc.all_candidates; "
+        "loc.all_candidates = swapped = lambda *a: original(*a); "
+        "import leakscope.isolation, leakscope.sensitivity, leakscope.cli; "
+        "loc.all_candidates = original; "
+        "print([n for n, m in sys.modules.items() if n.startswith('leakscope') "
+        "for v in vars(m).values() if v is swapped])"
+    )
+    assert _python(code).strip() == "[]"
