@@ -12,17 +12,22 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from operator import attrgetter
+from operator import add, attrgetter
 
 
 class Value:
     """Base of leakscope's immutable records, which behave as frozen dataclasses.
 
-    A subclass names its fields in `__slots__`. Its `__init__` checks its
-    arguments and then sets every field with one `self._set(...)` call, which
-    takes the values in `__slots__` order. Instances compare and hash by their
-    fields within one class, repr as `Name(field=value, ...)`, and refuse
-    assignment and deletion. Building a class runs no generated code, which
+    A subclass names its fields' slots in `__slots__`, each with a leading
+    underscore: `__slots__ = ("_c", "_gamma")`. The base puts a read-only
+    property under each public name (`c`, `gamma`), so a field refuses
+    assignment and deletion, and no instance has a `__dict__`. The `_` slots
+    are private to the class: its `__init__` checks its arguments and then
+    stores the fields with plain assignments, `self._c, self._gamma = c,
+    gamma`, which CPython makes at slot speed because the base hooks no
+    assignment, and its methods that run per call read the slots directly.
+    Instances compare and hash by their fields within one class and repr as
+    `Name(field=value, ...)`. Building a class runs no generated code, which
     keeps the import of leakscope short.
     """
 
@@ -30,17 +35,16 @@ class Value:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
+        slots = vars(cls).get("__slots__")
+        if slots is None:  # a subclass without slots keeps its base's fields
+            return
+        cls._fields = tuple(slot[1:] for slot in slots)  # the public names
+        for slot, name in zip(slots, cls._fields):
+            assert slot.startswith("_") and not hasattr(cls, name), f"{cls.__name__}.{slot}"
+            setattr(cls, name, property(attrgetter(slot)))
         # all fields as one tuple, read at C speed: == and hash run per state
-        get = attrgetter(*cls.__slots__)
-        cls._values = get if len(cls.__slots__) > 1 else lambda self: (get(self),)
-        # the slot descriptors' own setters, which __setattr__ cannot block
-        setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-
-        def _set(self, *values):
-            for set_field, value in zip(setters, values):
-                set_field(self, value)
-
-        cls._set = _set
+        get = attrgetter(*slots)
+        cls._values = get if len(slots) > 1 else lambda self: (get(self),)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -54,20 +58,13 @@ class Value:
         fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
         return f"{self.__class__.__qualname__}({fields})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
-        # copy and pickle rebuild through __init__; by default they would
-        # set the slots through __setattr__, which refuses
+        # copy and pickle rebuild through __init__, which checks the fields again
         return self.__class__, self.__class__._values(self)
 
     def _asdict(self) -> dict:
         """The fields by name, in `__slots__` order."""
-        return dict(zip(self.__slots__, self.__class__._values(self)))
+        return dict(zip(self._fields, self.__class__._values(self)))
 
     def replace(self, **changes):
         """A copy with `changes` to some fields, checked by `__init__` again."""
@@ -97,25 +94,25 @@ def _check_positive(name: str, value: float) -> None:
 class QuadraticPlusLinear(HeadLossFn, Value):
     """U(q) = c (q |q| + q)."""
 
-    __slots__ = ("c",)
+    __slots__ = ("_c",)
 
     def __init__(self, c: float):
         _check_positive("c", c)
-        self._set(c)
+        self._c = c
 
     def evaluate(self, q: float) -> float:
-        return self.c * (q * abs(q) + q)
+        return self._c * (q * abs(q) + q)
 
     def invert(self, h: float) -> float:
         # for h >= 0 solve q^2 + q - h/c = 0, positive branch; odd extension.
         # a / (1/2 + sqrt(1/4 + a)) is (-1 + sqrt(1 + 4a)) / 2 without its
         # cancellation at small a, and it does not overflow at large a
-        a = abs(h) / self.c
+        a = abs(h) / self._c
         q = a / (0.5 + math.sqrt(0.25 + a))
         return math.copysign(q, h)
 
     def derivative(self, q: float) -> float:
-        return self.c * (2.0 * abs(q) + 1.0)
+        return self._c * (2.0 * abs(q) + 1.0)
 
     def shape_key(self) -> tuple:
         return ("quadratic_plus_linear",)
@@ -130,43 +127,43 @@ class PowerLaw(HeadLossFn, Value):
     raises ValueError.
     """
 
-    __slots__ = ("c", "gamma")
+    __slots__ = ("_c", "_gamma")
 
     def __init__(self, c: float, gamma: float):
         _check_positive("c", c)
         _check_positive("gamma", gamma)
-        self._set(c, gamma)
+        self._c, self._gamma = c, gamma
 
     def evaluate(self, q: float) -> float:
-        gamma = self.gamma
+        gamma = self._gamma
         if gamma == 2.0:
-            return self.c * abs(q) * q
+            return self._c * abs(q) * q
         try:
-            return math.copysign(self.c * abs(q) ** gamma, q)
+            return math.copysign(self._c * abs(q) ** gamma, q)
         except OverflowError:
             raise ValueError(f"{self!r}.evaluate({q!r}) is beyond the float range") from None
 
     def invert(self, h: float) -> float:
-        gamma = self.gamma
+        gamma = self._gamma
         if gamma == 2.0:
-            return math.copysign(math.sqrt(abs(h) / self.c), h)
+            return math.copysign(math.sqrt(abs(h) / self._c), h)
         try:
-            return math.copysign((abs(h) / self.c) ** (1.0 / gamma), h)
+            return math.copysign((abs(h) / self._c) ** (1.0 / gamma), h)
         except OverflowError:
             raise ValueError(f"{self!r}.invert({h!r}) is beyond the float range") from None
 
     def derivative(self, q: float) -> float:
-        if q == 0.0 and self.gamma < 1.0:
+        if q == 0.0 and self._gamma < 1.0:
             raise UnboundedDerivativeError(
-                f"power law with gamma={self.gamma} < 1 has unbounded slope at q=0"
+                f"power law with gamma={self._gamma} < 1 has unbounded slope at q=0"
             )
         try:
-            return self.c * self.gamma * abs(q) ** (self.gamma - 1.0)
+            return self._c * self._gamma * abs(q) ** (self._gamma - 1.0)
         except OverflowError:
             raise ValueError(f"{self!r}.derivative({q!r}) is beyond the float range") from None
 
     def shape_key(self) -> tuple:
-        return ("power", self.gamma)
+        return ("power", self._gamma)
 
 
 def Linear(R: float) -> PowerLaw:
@@ -185,22 +182,22 @@ class PipeSet(Value):
     Pipe indices are 1-based throughout the public API.
     """
 
-    __slots__ = ("pipes",)
+    __slots__ = ("_pipes",)
 
     def __init__(self, pipes: tuple[HeadLossFn, ...]):
         pipes = tuple(pipes)
         if len(pipes) < 1:
             raise ValueError("need at least one pipe")
-        self._set(pipes)
+        self._pipes = pipes
 
     @property
     def n(self) -> int:
-        return len(self.pipes)
+        return len(self._pipes)
 
     def pipe(self, j: int) -> HeadLossFn:
-        if not 1 <= j <= self.n:
+        if not 1 <= j <= len(self._pipes):
             raise IndexError(f"pipe index {j} out of range 1..{self.n}")
-        return self.pipes[j - 1]
+        return self._pipes[j - 1]
 
     def admittance_excluding(self, j: int, dh: float) -> float:
         """Total flow through all pipes except j at head loss dh."""
@@ -215,16 +212,16 @@ class PipeSet(Value):
         before j to the suffix sum of the pipes after it. All flows share the
         sign of dh, so unlike total-minus-own no entry cancels a dominant pipe.
         """
-        flows = [p.invert(dh) for p in self.pipes]
+        flows = [p.invert(dh) for p in self._pipes]
         inlet = accumulate(flows, initial=0.0)  # entry i: pipes before i
         outlet = list(accumulate(reversed(flows), initial=0.0))[::-1]  # i: from i on
-        return tuple(a + b for a, b in zip(inlet, outlet[1:]))
+        return tuple(map(add, inlet, outlet[1:]))
 
     def admittance_derivative_excluding(self, j: int, dh: float) -> float:
         """Slope of the admittance sum, via the inverse function rule."""
         self.pipe(j)  # range check
         total = 0.0
-        for p in self.pipes[: j - 1] + self.pipes[j:]:
+        for p in self._pipes[: j - 1] + self._pipes[j:]:
             try:
                 slope = p.derivative(p.invert(dh))
             except UnboundedDerivativeError:

@@ -10,30 +10,30 @@ from __future__ import annotations
 
 import math
 
-from .headloss import PipeSet, Value
+from .headloss import PipeSet, Value, _check_positive
 from .rootfind import NoRootError, brent, expand_bracket
 
 
 class PowerLawLeak(Value):
     """q_leak = C (h_leak - h_y)^beta, defined for h_leak > h_y."""
 
-    __slots__ = ("C", "beta", "h_y")
+    __slots__ = ("_C", "_beta", "_h_y")
 
     def __init__(self, C: float, beta: float, h_y: float = 0.0):
-        if C <= 0:
-            raise ValueError(f"C must be positive, got {C}")
-        if beta <= 0:
-            raise ValueError(f"beta must be positive, got {beta}")
-        self._set(C, beta, h_y)
+        _check_positive("C", C)
+        _check_positive("beta", beta)
+        if not math.isfinite(h_y):
+            raise ValueError(f"h_y must be finite, got {h_y}")
+        self._C, self._beta, self._h_y = C, beta, h_y
 
     def flow(self, h_leak: float) -> float:
         # clamped at h_y so the solver can probe below; the solved state is
         # rejected afterwards if it lands at h_leak <= h_y
-        head = h_leak - self.h_y
+        head = h_leak - self._h_y
         if head <= 0.0:
             return 0.0
         try:
-            return self.C * head**self.beta
+            return self._C * head**self._beta
         except OverflowError:
             raise ValueError(f"{self!r}.flow({h_leak!r}) is beyond the float range") from None
 
@@ -41,15 +41,15 @@ class PowerLawLeak(Value):
 class FixedDemand(Value):
     """Constant leak outflow, independent of pressure."""
 
-    __slots__ = ("q_leak",)
+    __slots__ = ("_q_leak",)
 
     def __init__(self, q_leak: float):
-        if q_leak < 0:
-            raise ValueError(f"q_leak must be non-negative, got {q_leak}")
-        self._set(q_leak)
+        if not (math.isfinite(q_leak) and q_leak >= 0):
+            raise ValueError(f"q_leak must be non-negative and finite, got {q_leak}")
+        self._q_leak = q_leak
 
     def flow(self, h_leak: float) -> float:
-        return self.q_leak
+        return self._q_leak
 
 
 def SqrtLeak() -> PowerLawLeak:
@@ -63,45 +63,46 @@ LeakFn = PowerLawLeak | FixedDemand
 class LeakSpec(Value):
     """Leak in pipe k at relative position x along the pipe."""
 
-    __slots__ = ("k", "x", "leak")
+    __slots__ = ("_k", "_x", "_leak")
 
     def __init__(self, k: int, x: float, leak: LeakFn):
         if k < 1:
             raise ValueError(f"pipe index k must be >= 1, got {k}")
         if not 0.0 < x < 1.0:
             raise ValueError(f"relative position x must be in (0,1), got {x}")
-        self._set(k, x, leak)
+        self._k, self._x, self._leak = k, x, leak
 
 
 class HydraulicState(Value):
     """Steady state: the boundary heads, the leak head and the leaking pipe's
     two section flows. Every other pipe carries its law's flow at dh."""
 
-    __slots__ = ("h_in", "h_out", "q_in_k", "q_out_k", "h_leak")
+    __slots__ = ("_h_in", "_h_out", "_q_in_k", "_q_out_k", "_h_leak")
 
     def __init__(self, h_in: float, h_out: float, q_in_k: float, q_out_k: float, h_leak: float):
-        self._set(h_in, h_out, q_in_k, q_out_k, h_leak)
+        self._h_in, self._h_out, self._h_leak = h_in, h_out, h_leak
+        self._q_in_k, self._q_out_k = q_in_k, q_out_k
 
     @property
     def dh(self) -> float:
-        return self.h_in - self.h_out
+        return self._h_in - self._h_out
 
     @property
     def q_leak(self) -> float:
-        return self.q_in_k - self.q_out_k
+        return self._q_in_k - self._q_out_k
 
 
 class DataPoint(Value):
     """One simultaneous reading of the four boundary sensors."""
 
-    __slots__ = ("h_in", "h_out", "q_in", "q_out")
+    __slots__ = ("_h_in", "_h_out", "_q_in", "_q_out")
 
     def __init__(self, h_in: float, h_out: float, q_in: float, q_out: float):
-        self._set(h_in, h_out, q_in, q_out)
+        self._h_in, self._h_out, self._q_in, self._q_out = h_in, h_out, q_in, q_out
 
     @property
     def dh(self) -> float:
-        return self.h_in - self.h_out
+        return self._h_in - self._h_out
 
 
 def solve_leaky_state(
@@ -116,12 +117,12 @@ def solve_leaky_state(
     if leak.k > pipes.n:
         raise ValueError(f"leaking pipe {leak.k} out of range 1..{pipes.n}")
     U_k = pipes.pipe(leak.k)
-    x = leak.x
+    x, leak_flow = leak.x, leak.leak.flow
 
     def mismatch(h: float) -> float:
         q_in_k = U_k.invert((h_in - h) / x)
         q_out_k = U_k.invert((h - h_out) / (1.0 - x))
-        return q_in_k - q_out_k - leak.leak.flow(h)
+        return q_in_k - q_out_k - leak_flow(h)
 
     lo, hi = min(h_in, h_out), max(h_in, h_out)
     try:
@@ -144,9 +145,9 @@ def solve_leaky_state(
 def measure(state: HydraulicState, pipes: PipeSet, leak: LeakSpec) -> DataPoint:
     """Collapse a state into the four boundary sensor readings: the leaking
     pipe's section flows plus the flow through all other pipes at dh."""
-    dh = state.dh
+    dh, k = state.dh, leak.k
     # fsum rounds once; sum() accumulates differently from Python 3.12 on
-    through = math.fsum(p.invert(dh) for i, p in enumerate(pipes.pipes, start=1) if i != leak.k)
+    through = math.fsum(p.invert(dh) for i, p in enumerate(pipes.pipes, start=1) if i != k)
     # by position: keywords cost more, and this runs once per state
     return DataPoint(state.h_in, state.h_out, state.q_in_k + through, state.q_out_k + through)
 
@@ -154,13 +155,13 @@ def measure(state: HydraulicState, pipes: PipeSet, leak: LeakSpec) -> DataPoint:
 class SweepResult(Value):
     """Per-boundary-pair outcomes; failed points carry an error message."""
 
-    __slots__ = ("points", "errors")
+    __slots__ = ("_points", "_errors")
 
     def __init__(self, points: tuple[DataPoint | None, ...], errors: dict[int, str]):
-        self._set(points, errors)  # errors: index -> message
+        self._points, self._errors = points, errors  # errors: index -> message
 
     def ok(self) -> list[DataPoint]:
-        return [p for p in self.points if p is not None]
+        return [p for p in self._points if p is not None]
 
 
 def sweep(

@@ -22,9 +22,8 @@ class TooFewPointsError(ValueError):
 
 
 class IsolationVerdict(Value):
-    __slots__ = (
-        "candidate_series", "spreads", "isolated", "k_hat", "x_hat", "candidate_pipes", "reason"
-    )
+    __slots__ = ("_candidate_series", "_spreads", "_isolated", "_k_hat", "_x_hat",
+                 "_candidate_pipes", "_reason")
 
     def __init__(
         self,
@@ -36,7 +35,9 @@ class IsolationVerdict(Value):
         candidate_pipes: frozenset[int] = frozenset(),
         reason: str = "",
     ):
-        self._set(candidate_series, spreads, isolated, k_hat, x_hat, candidate_pipes, reason)
+        self._candidate_series, self._spreads, self._isolated = candidate_series, spreads, isolated
+        self._k_hat, self._x_hat, self._candidate_pipes = k_hat, x_hat, candidate_pipes
+        self._reason = reason
 
 
 def isolate_by_consistency(
@@ -83,13 +84,13 @@ def isolate_by_consistency(
     )
 
 
-def _leak_head(U_j: HeadLossFn, x_j: float, G: float, d: DataPoint) -> float:
-    return d.h_in - x_j * U_j.evaluate(d.q_in - G)
+def _leak_head(U_j: HeadLossFn, x_j: float, G: float, h_in: float, q_in: float) -> float:
+    return h_in - x_j * U_j.evaluate(q_in - G)
 
 
 def apparent_leak_head(pipes: PipeSet, j: int, x_j: float, d: DataPoint) -> float:
     """Head at the hypothesized leak in pipe j, from the inlet side."""
-    return _leak_head(pipes.pipe(j), x_j, pipes.admittance_excluding(j, d.dh), d)
+    return _leak_head(pipes.pipe(j), x_j, pipes.admittance_excluding(j, d.dh), d.h_in, d.q_in)
 
 
 def apparent_leak_flow(d: DataPoint) -> float:
@@ -98,7 +99,7 @@ def apparent_leak_flow(d: DataPoint) -> float:
 
 
 class LeakFitResult(Value):
-    __slots__ = ("j", "C_j", "beta_j", "rmse", "negative_head", "accepted", "samples")
+    __slots__ = ("_j", "_C_j", "_beta_j", "_rmse", "_negative_head", "_accepted", "_samples")
 
     def __init__(
         self,
@@ -110,7 +111,8 @@ class LeakFitResult(Value):
         accepted: bool,
         samples: tuple[tuple[float, float], ...],  # the (h_leak, q_leak) pairs fitted
     ):
-        self._set(j, C_j, beta_j, rmse, negative_head, accepted, samples)
+        self._j, self._C_j, self._beta_j, self._rmse = j, C_j, beta_j, rmse
+        self._negative_head, self._accepted, self._samples = negative_head, accepted, samples
 
 
 def fit_leak_function(
@@ -179,9 +181,9 @@ def isolate_by_leak_fit(
     samples: dict[int, list[tuple[float, float]]] = {j: [] for j in laws}
     for d in data:
         G = pipes.admittances_excluding(d.dh)
-        q_leak = apparent_leak_flow(d)
+        h_in, q_in, q_leak = d.h_in, d.q_in, apparent_leak_flow(d)  # read once, not per pipe
         for j, U_j in laws.items():
-            samples[j].append((_leak_head(U_j, candidates[j], G[j - 1], d), q_leak))
+            samples[j].append((_leak_head(U_j, candidates[j], G[j - 1], h_in, q_in), q_leak))
     results = [
         fit_leak_function(
             samples[j], h_y=h_y[j] if isinstance(h_y, dict) else h_y, eps_fit=eps_fit, j=j

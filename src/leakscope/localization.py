@@ -23,16 +23,16 @@ class NoLeakError(ValueError):
 class LeakCandidate(Value):
     """The unique position in pipe j consistent with one data point."""
 
-    __slots__ = ("j", "x_j", "residual_check")
+    __slots__ = ("_j", "_x_j", "_residual_check")
 
     def __init__(self, j: int, x_j: float, residual_check: float):
-        self._set(j, x_j, residual_check)
+        self._j, self._x_j, self._residual_check = j, x_j, residual_check
 
 
 class PartialDataPoint(Value):
     """A data point with exactly one of the four sensors missing."""
 
-    __slots__ = ("h_in", "h_out", "q_in", "q_out")
+    __slots__ = ("_h_in", "_h_out", "_q_in", "_q_out")
 
     def __init__(
         self,
@@ -41,7 +41,7 @@ class PartialDataPoint(Value):
         q_in: float | None = None,
         q_out: float | None = None,
     ):
-        self._set(h_in, h_out, q_in, q_out)
+        self._h_in, self._h_out, self._q_in, self._q_out = h_in, h_out, q_in, q_out
         self.missing  # raises unless exactly one reading is None
 
     @property
@@ -65,14 +65,15 @@ def residual(pipes: PipeSet, j: int, x_j: float, d: DataPoint) -> float:
     )
 
 
-def _candidate(U_j: HeadLossFn, j: int, G: float, d: DataPoint) -> LeakCandidate:
-    """The pipe-j candidate, given the flow G through all other pipes; its
-    residual check reuses the two head losses that gave x_j."""
-    if d.q_in == d.q_out:
+def _candidate(
+    U_j: HeadLossFn, j: int, G: float, dh: float, q_in: float, q_out: float
+) -> LeakCandidate:
+    """The pipe-j candidate from dh, q_in and q_out, given the flow G through all
+    other pipes; its residual check reuses the two head losses that gave x_j."""
+    if q_in == q_out:
         raise NoLeakError("q_in equals q_out; no leak position can be inferred")
-    dh = d.dh
-    head_in = U_j.evaluate(d.q_in - G)
-    head_out = U_j.evaluate(d.q_out - G)
+    head_in = U_j.evaluate(q_in - G)
+    head_out = U_j.evaluate(q_out - G)
     if head_in == head_out:
         # a leak flow within rounding of zero: the section losses cannot tell it apart
         raise NoLeakError(
@@ -106,14 +107,17 @@ def _outflow(U_j: HeadLossFn, x_j: float, G: float, dh: float, q_in: float) -> f
 
 def candidate_position(pipes: PipeSet, j: int, d: DataPoint) -> float:
     """The unique x_j in (0,1) zeroing the pipe-j residual."""
-    return _candidate(pipes.pipe(j), j, pipes.admittance_excluding(j, d.dh), d).x_j
+    dh = d.dh
+    return _candidate(pipes.pipe(j), j, pipes.admittance_excluding(j, dh), dh, d.q_in, d.q_out).x_j
 
 
 def all_candidates(pipes: PipeSet, d: DataPoint) -> list[LeakCandidate]:
     """One leak candidate per pipe, with its residual check."""
-    G = pipes.admittances_excluding(d.dh)
+    dh = d.dh
+    G = pipes.admittances_excluding(dh)
+    readings = repeat(dh), repeat(d.q_in), repeat(d.q_out)  # read once, not per pipe
     # map adds no Python frame, so _candidate's warning names this function's caller
-    return list(map(_candidate, pipes.pipes, count(1), G, repeat(d)))
+    return list(map(_candidate, pipes.pipes, count(1), G, *readings))
 
 
 def estimate_outflow(

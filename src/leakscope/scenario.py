@@ -20,7 +20,7 @@ class ScenarioError(ValueError):
 
 
 class AnalysisOptions(Value):
-    __slots__ = ("eps_spread", "eps_fit", "nominal_dh", "dh_grid", "h_y")
+    __slots__ = ("_eps_spread", "_eps_fit", "_nominal_dh", "_dh_grid", "_h_y")
 
     def __init__(
         self,
@@ -30,11 +30,12 @@ class AnalysisOptions(Value):
         dh_grid: tuple[float, ...] | None = None,
         h_y: tuple[float, ...] | None = None,  # per pipe
     ):
-        self._set(eps_spread, eps_fit, nominal_dh, dh_grid, h_y)
+        self._eps_spread, self._eps_fit, self._nominal_dh = eps_spread, eps_fit, nominal_dh
+        self._dh_grid, self._h_y = dh_grid, h_y
 
 
 class Scenario(Value):
-    __slots__ = ("pipes", "leak", "boundary", "analysis")
+    __slots__ = ("_pipes", "_leak", "_boundary", "_analysis")
 
     def __init__(
         self,
@@ -43,7 +44,7 @@ class Scenario(Value):
         boundary: tuple[tuple[float, float], ...],
         analysis: AnalysisOptions = AnalysisOptions(),  # immutable, so one default serves all
     ):
-        self._set(pipes, leak, boundary, analysis)
+        self._pipes, self._leak, self._boundary, self._analysis = pipes, leak, boundary, analysis
 
 
 # A rule is (what the value must be, test on the finite float).

@@ -20,31 +20,31 @@ CURVE_MAX_ITER = 100  # damped Newton steps per point before the bracketed fallb
 class SectionResistances(Value):
     """Slopes of the hypothesized leaking pipe's two sections."""
 
-    __slots__ = ("R_in", "R_out", "R_0")
+    __slots__ = ("_R_in", "_R_out", "_R_0")
 
     def __init__(self, R_in: float, R_out: float, R_0: float):
-        self._set(R_in, R_out, R_0)
+        self._R_in, self._R_out, self._R_0 = R_in, R_out, R_0
 
     @property
     def ratio(self) -> float:
-        if self.R_out <= 0.0:
+        if self._R_out <= 0.0:
             raise ZeroDivisionError("R_out must be positive for the ratio")
-        return self.R_in / self.R_out
+        return self._R_in / self._R_out
 
 
 class ResidualDifferential(Value):
     """Partials of the flow-space residual w.r.t. q_in and the head loss."""
 
-    __slots__ = ("d_dqin", "d_ddh")
+    __slots__ = ("_d_dqin", "_d_ddh")
 
     def __init__(self, d_dqin: float, d_ddh: float):
-        self._set(d_dqin, d_ddh)
+        self._d_dqin, self._d_ddh = d_dqin, d_ddh
 
 
 class ConfusionFlowCurve(Value):
     """Inflow trajectory along which pipe i cannot be rejected."""
 
-    __slots__ = ("i", "dh_grid", "q_in_conf", "residual_trace", "converged")
+    __slots__ = ("_i", "_dh_grid", "_q_in_conf", "_residual_trace", "_converged")
 
     def __init__(
         self,
@@ -54,7 +54,8 @@ class ConfusionFlowCurve(Value):
         residual_trace: tuple[float, ...],
         converged: tuple[bool, ...],
     ):
-        self._set(i, dh_grid, q_in_conf, residual_trace, converged)
+        self._i, self._dh_grid, self._q_in_conf = i, dh_grid, q_in_conf
+        self._residual_trace, self._converged = residual_trace, converged
 
 
 def section_resistances(
@@ -165,7 +166,7 @@ def _solve_point(f, seed: float) -> tuple[float, float, bool]:
 class ZeroDhSensitivity(Value):
     """Residual slope in the head loss at a zero-head-loss state."""
 
-    __slots__ = ("value", "distinct_out_resistance", "nonlinear_section")
+    __slots__ = ("_value", "_distinct_out_resistance", "_nonlinear_section")
 
     def __init__(
         self,
@@ -173,7 +174,8 @@ class ZeroDhSensitivity(Value):
         distinct_out_resistance: bool,  # R_out,i != R_out,k
         nonlinear_section: bool,  # R_in,i + R_out,i != R_0,i
     ):
-        self._set(value, distinct_out_resistance, nonlinear_section)
+        self._value, self._distinct_out_resistance = value, distinct_out_resistance
+        self._nonlinear_section = nonlinear_section
 
 
 def _proportional(pipes: PipeSet) -> bool:

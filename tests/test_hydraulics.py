@@ -1,4 +1,5 @@
 import math
+import re
 from functools import reduce
 from operator import add
 
@@ -180,6 +181,37 @@ def test_invalid_leak_spec():
     pipes = PipeSet((Linear(0.1),))
     with pytest.raises(ValueError):
         solve_leaky_state(pipes, LeakSpec(2, 0.5, SqrtLeak()), 2.0, 1.0)
+
+
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: PowerLawLeak(C=INF, beta=0.5), "C must be positive and finite, got inf"),
+        (lambda: PowerLawLeak(C=NAN, beta=0.5), "C must be positive and finite, got nan"),
+        (lambda: PowerLawLeak(C=0.0, beta=0.5), "C must be positive and finite, got 0.0"),
+        (lambda: PowerLawLeak(C=1.0, beta=INF), "beta must be positive and finite, got inf"),
+        (lambda: PowerLawLeak(C=1.0, beta=NAN), "beta must be positive and finite, got nan"),
+        (lambda: PowerLawLeak(C=1.0, beta=-0.5), "beta must be positive and finite, got -0.5"),
+        (lambda: PowerLawLeak(1.0, 0.5, h_y=NAN), "h_y must be finite, got nan"),
+        (lambda: PowerLawLeak(1.0, 0.5, h_y=-INF), "h_y must be finite, got -inf"),
+        (lambda: FixedDemand(NAN), "q_leak must be non-negative and finite, got nan"),
+        (lambda: FixedDemand(INF), "q_leak must be non-negative and finite, got inf"),
+        (lambda: FixedDemand(-1.0), "q_leak must be non-negative and finite, got -1.0"),
+    ],
+)
+def test_leak_law_rejects_a_parameter_that_is_not_finite(make, message):
+    # an infinite beta once built a law whose solved state broke the leak law,
+    # and a NaN parameter spent every bracket expansion before failing
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_leak_law_accepts_finite_edge_parameters():
+    assert PowerLawLeak(C=1e-300, beta=1e300, h_y=-1e300).h_y == -1e300
+    assert FixedDemand(0.0).q_leak == 0.0
 
 
 class TestSweep:
