@@ -166,7 +166,7 @@ def _cmd_isolate(sc: Scenario, out: str) -> int:
         os.path.join(out, "isolate_spreads.csv"),
         ["pipe", "spread", "plausible"],
         [
-            [j, verdict.spreads[j], verdict.spreads[j] <= sc.analysis.eps_spread]
+            [j, verdict.spreads[j], j == verdict.k_hat or j in verdict.candidate_pipes]
             for j in sorted(verdict.spreads)
         ],
     )

@@ -22,6 +22,9 @@ class TooFewPointsError(ValueError):
 
 
 class IsolationVerdict(Value):
+    """`candidate_pipes` is empty when the verdict is isolated or when no
+    pipe is plausible (has a spread within `eps_spread`)."""
+
     __slots__ = ("_candidate_series", "_spreads", "_isolated", "_k_hat", "_x_hat",
                  "_candidate_pipes", "_reason")
 

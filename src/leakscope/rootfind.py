@@ -23,7 +23,7 @@ def expand_bracket(
 ) -> tuple[float, float, float, float]:
     """Grow [lo, hi] outward by doubling steps until f changes sign.
 
-    Requires lo < hi. Returns (lo, hi, f(lo), f(hi)) with f(lo)*f(hi) <= 0.
+    Requires lo <= hi. Returns (lo, hi, f(lo), f(hi)) with f(lo)*f(hi) <= 0.
     """
     flo, fhi = f(lo), f(hi)
     step = max(hi - lo, 1.0)

@@ -20,10 +20,10 @@ CURVE_MAX_ITER = 100  # damped Newton steps per point before the bracketed fallb
 class SectionResistances(Value):
     """Slopes of the hypothesized leaking pipe's two sections."""
 
-    __slots__ = ("_R_in", "_R_out", "_R_0")
+    __slots__ = ("_R_in", "_R_out")
 
-    def __init__(self, R_in: float, R_out: float, R_0: float):
-        self._R_in, self._R_out, self._R_0 = R_in, R_out, R_0
+    def __init__(self, R_in: float, R_out: float):
+        self._R_in, self._R_out = R_in, R_out
 
     @property
     def ratio(self) -> float:
@@ -66,7 +66,6 @@ def section_resistances(
     return SectionResistances(
         R_in=x_i * U_i.derivative(d.q_in - G),
         R_out=(1.0 - x_i) * U_i.derivative(d.q_out - G),
-        R_0=U_i.derivative(0.0),
     )
 
 
@@ -134,7 +133,7 @@ def _solve_point(f, seed: float) -> tuple[float, float, bool]:
     fq = f(q)
     for _ in range(CURVE_MAX_ITER):
         if abs(fq) <= CURVE_TOL:
-            return q, fq, True
+            break
         step = 1e-6 * max(1.0, abs(q))
         slope = (f(q + step) - f(q - step)) / (2.0 * step)
         if slope == 0.0:
@@ -150,16 +149,15 @@ def _solve_point(f, seed: float) -> tuple[float, float, bool]:
             delta *= 0.5
         else:
             break
-    if abs(fq) <= CURVE_TOL:
-        return q, fq, True
-    # bracketed fallback around the seed
-    width = max(1.0, abs(seed))
-    try:
-        bracket = expand_bracket(f, seed - width, seed + width, max_expand=30)
-        q = brent(f, *bracket, xtol=1e-13)
-        fq = f(q)
-    except NoRootError:
-        pass
+    if abs(fq) > CURVE_TOL:
+        # bracketed fallback around the seed
+        width = max(1.0, abs(seed))
+        try:
+            bracket = expand_bracket(f, seed - width, seed + width, max_expand=30)
+            q = brent(f, *bracket, xtol=1e-13)
+            fq = f(q)
+        except NoRootError:
+            pass
     return q, fq, abs(fq) <= CURVE_TOL
 
 
@@ -178,11 +176,6 @@ class ZeroDhSensitivity(Value):
         self._nonlinear_section = nonlinear_section
 
 
-def _proportional(pipes: PipeSet) -> bool:
-    keys = {p.shape_key() for p in pipes.pipes}
-    return len(keys) == 1
-
-
 def zero_dh_sensitivity(
     pipes: PipeSet, i: int, k: int, x: float, d: DataPoint
 ) -> ZeroDhSensitivity:
@@ -190,23 +183,24 @@ def zero_dh_sensitivity(
     state with zero head loss and mutually proportional loss laws."""
     if abs(d.dh) > 1e-12:
         raise ValueError(f"requires a zero-head-loss data point, got dh={d.dh}")
-    if not _proportional(pipes):
+    if len({p.shape_key() for p in pipes.pipes}) != 1:
         raise ValueError("requires mutually proportional head loss functions")
     # with zero head loss only the leaking pipe carries flow, and the
     # candidate position in every pipe equals the true x
     sec_i = section_resistances(pipes, i, x, d)
+    R_0 = pipes.pipe(i).derivative(0.0)
     sec_k = section_resistances(pipes, k, x, d)
-    if sec_i.R_0 == 0.0:
+    if R_0 == 0.0:
         raise UnboundedDerivativeError(
             "zero slope at zero flow: the residual has no finite head-loss "
             "sensitivity at a zero-head-loss state for this loss law"
         )
     value = (1.0 / sec_k.R_out - 1.0 / sec_i.R_out) * (
-        1.0 - (sec_i.R_in + sec_i.R_out) / sec_i.R_0
+        1.0 - (sec_i.R_in + sec_i.R_out) / R_0
     )
     return ZeroDhSensitivity(
         value=value,
         distinct_out_resistance=sec_i.R_out != sec_k.R_out,
-        nonlinear_section=sec_i.R_in + sec_i.R_out != sec_i.R_0,
+        nonlinear_section=sec_i.R_in + sec_i.R_out != R_0,
     )
 

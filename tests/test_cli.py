@@ -340,6 +340,27 @@ def test_nominal_dh_flag_supplies_missing_value(tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the bracketed fallback can land on another branch and flag it converged",
+)
+def test_confusion_curve_stays_on_its_branch(tmp_path):
+    # example2's branch of pipe 2 through the nominal point folds near dh 3.045;
+    # at dh 3.0 the fallback lands on q_in -7.784 and flags it converged
+    assert run("confusion", bundled_scenario("example2"), tmp_path) == 0
+    with open(tmp_path / "confusion.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    for pipe in sorted({row["pipe"] for row in rows}):
+        q = [
+            float(row["q_in_conf"])
+            for row in rows
+            if row["pipe"] == pipe and row["converged"] == "true"
+        ]
+        for q_prev, q_next in zip(q, q[1:]):
+            assert abs(q_next - q_prev) <= 0.5 * max(1.0, abs(q_prev)), (pipe, q_prev, q_next)
+
+
 @pytest.mark.parametrize(
     "flag,value,what",
     [

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import simulate_data
@@ -11,6 +13,7 @@ from leakscope import (
     PowerLaw,
     QuadraticPlusLinear,
     SignedQuadratic,
+    SqrtLeak,
     UnboundedDerivativeError,
     candidate_position,
     confusion_flow_curve,
@@ -31,7 +34,7 @@ class TestSectionResistances:
         sec = section_resistances(pipes, 2, 0.3, d)
         assert sec.R_in == pytest.approx(0.3 * 0.25)
         assert sec.R_out == pytest.approx(0.7 * 0.25)
-        assert sec.R_in + sec.R_out == pytest.approx(sec.R_0)
+        assert sec.R_in + sec.R_out == pytest.approx(pipes.pipe(2).derivative(0.0))
 
     def test_example2_finite_difference(self, example2):
         pipes, leak = example2
@@ -47,6 +50,15 @@ class TestSectionResistances:
             fd = (U.evaluate(q + eps) - U.evaluate(q - eps)) / (2 * eps)
             assert got == pytest.approx(frac * fd, rel=1e-6)
 
+    def test_sublinear_laws_give_finite_slopes(self):
+        # gamma < 1 has no finite slope at zero flow, which the sections never need
+        pipes, leak = _sublinear_network()
+        d = simulate_data(pipes, leak, [(5.0, 1.0)])[0]
+        for i in (1, 2, 3):
+            sec = section_resistances(pipes, i, candidate_position(pipes, i, d), d)
+            assert math.isfinite(sec.R_in) and sec.R_in > 0.0
+            assert math.isfinite(sec.R_out) and sec.R_out > 0.0
+
     def test_zero_dh_proportional_ratios_match(self):
         pipes = PipeSet((QuadraticPlusLinear(2.0), QuadraticPlusLinear(4.0)))
         leak = LeakSpec(1, 0.4, FixedDemand(3.0))
@@ -55,6 +67,11 @@ class TestSectionResistances:
         sec1 = section_resistances(pipes, 1, 0.4, d)
         sec2 = section_resistances(pipes, 2, 0.4, d)
         assert sec1.ratio == pytest.approx(sec2.ratio, rel=1e-12)
+
+
+def _sublinear_network():
+    pipes = PipeSet((PowerLaw(0.5, 0.8), SignedQuadratic(0.1), PowerLaw(0.3, 0.6)))
+    return pipes, LeakSpec(1, 0.4, SqrtLeak())
 
 
 def _rbar_of(pipes, i, x_i, k, x):
@@ -70,6 +87,21 @@ class TestResidualDifferential:
     def test_matches_finite_difference(self, example2):
         pipes, leak = example2
         d = simulate_data(pipes, leak, [(5.0, 1.0)])[0]
+        for i in (2, 3):
+            x_i = candidate_position(pipes, i, d)
+            rd = residual_differential(pipes, i, x_i, leak.k, leak.x, d)
+            f = _rbar_of(pipes, i, x_i, leak.k, leak.x)
+            eps = 1e-6
+            fd_qin = (f(d.dh, d.q_in + eps) - f(d.dh, d.q_in - eps)) / (2 * eps)
+            fd_dh = (f(d.dh + eps, d.q_in) - f(d.dh - eps, d.q_in)) / (2 * eps)
+            assert rd.d_dqin == pytest.approx(fd_qin, rel=1e-3)
+            assert rd.d_ddh == pytest.approx(fd_dh, rel=1e-3)
+
+    @pytest.mark.parametrize("h_in, h_out", [(3.0, 1.0), (5.0, 1.0), (8.0, 1.0),
+                                             (1.0, 3.0), (1.0, 5.0), (1.0, 8.0)])
+    def test_sublinear_laws_match_finite_difference(self, h_in, h_out):
+        pipes, leak = _sublinear_network()
+        d = simulate_data(pipes, leak, [(h_in, h_out)])[0]
         for i in (2, 3):
             x_i = candidate_position(pipes, i, d)
             rd = residual_differential(pipes, i, x_i, leak.k, leak.x, d)
@@ -191,6 +223,17 @@ class TestZeroDhSensitivity:
         leak = LeakSpec(1, 0.4, FixedDemand(5.0))
         d0 = self._zero_dh_point(pipes, leak)
         with pytest.raises(UnboundedDerivativeError):
+            zero_dh_sensitivity(pipes, 2, 1, 0.4, d0)
+
+    def test_sublinear_law_rejected(self):
+        # a power law with gamma < 1 has no finite slope at zero flow
+        pipes = PipeSet((PowerLaw(0.5, 0.8), PowerLaw(1.0, 0.8)))
+        leak = LeakSpec(1, 0.4, FixedDemand(3.0))
+        d0 = self._zero_dh_point(pipes, leak)
+        with pytest.raises(
+            UnboundedDerivativeError,
+            match=r"^power law with gamma=0\.8 < 1 has unbounded slope at q=0$",
+        ):
             zero_dh_sensitivity(pipes, 2, 1, 0.4, d0)
 
     def test_preconditions(self):

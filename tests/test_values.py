@@ -82,8 +82,8 @@ VALUES = {
         "PartialDataPoint(h_in=3.0, h_out=1.0, q_in=0.5, q_out=None)",
     ),
     "SectionResistances": (
-        lambda: SectionResistances(1.0, 2.0, 3.0),
-        "SectionResistances(R_in=1.0, R_out=2.0, R_0=3.0)",
+        lambda: SectionResistances(1.0, 2.0),
+        "SectionResistances(R_in=1.0, R_out=2.0)",
     ),
     "ResidualDifferential": (
         lambda: ResidualDifferential(0.5, -0.5),
@@ -202,7 +202,7 @@ def test_unequal_values():
 def test_equal_values_of_other_classes_differ():
     assert FixedDemand(0.5) != QuadraticPlusLinear(0.5)
     assert DataPoint(3.0, 1.0, 0.5, None) != PartialDataPoint(3.0, 1.0, 0.5, None)
-    assert SectionResistances(1.0, 2.0, 3.0) != LeakCandidate(1.0, 2.0, 3.0)
+    assert SectionResistances(1.0, 2.0) != ResidualDifferential(1.0, 2.0)
     assert ResidualDifferential(0.5, -0.5) != PowerLaw(0.5, 0.5) != PowerLawLeak(0.5, 0.5)
 
     class Steeper(PowerLaw):
