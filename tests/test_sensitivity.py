@@ -83,34 +83,28 @@ def _rbar_of(pipes, i, x_i, k, x):
     return f
 
 
+def _assert_differential_matches_finite_difference(pipes, leak, h_in, h_out):
+    d = simulate_data(pipes, leak, [(h_in, h_out)])[0]
+    for i in (2, 3):
+        x_i = candidate_position(pipes, i, d)
+        rd = residual_differential(pipes, i, x_i, leak.k, leak.x, d)
+        f = _rbar_of(pipes, i, x_i, leak.k, leak.x)
+        eps = 1e-6
+        fd_qin = (f(d.dh, d.q_in + eps) - f(d.dh, d.q_in - eps)) / (2 * eps)
+        fd_dh = (f(d.dh + eps, d.q_in) - f(d.dh - eps, d.q_in)) / (2 * eps)
+        assert rd.d_dqin == pytest.approx(fd_qin, rel=1e-3)
+        assert rd.d_ddh == pytest.approx(fd_dh, rel=1e-3)
+
+
 class TestResidualDifferential:
     def test_matches_finite_difference(self, example2):
-        pipes, leak = example2
-        d = simulate_data(pipes, leak, [(5.0, 1.0)])[0]
-        for i in (2, 3):
-            x_i = candidate_position(pipes, i, d)
-            rd = residual_differential(pipes, i, x_i, leak.k, leak.x, d)
-            f = _rbar_of(pipes, i, x_i, leak.k, leak.x)
-            eps = 1e-6
-            fd_qin = (f(d.dh, d.q_in + eps) - f(d.dh, d.q_in - eps)) / (2 * eps)
-            fd_dh = (f(d.dh + eps, d.q_in) - f(d.dh - eps, d.q_in)) / (2 * eps)
-            assert rd.d_dqin == pytest.approx(fd_qin, rel=1e-3)
-            assert rd.d_ddh == pytest.approx(fd_dh, rel=1e-3)
+        _assert_differential_matches_finite_difference(*example2, 5.0, 1.0)
 
     @pytest.mark.parametrize("h_in, h_out", [(3.0, 1.0), (5.0, 1.0), (8.0, 1.0),
                                              (1.0, 3.0), (1.0, 5.0), (1.0, 8.0)])
     def test_sublinear_laws_match_finite_difference(self, h_in, h_out):
-        pipes, leak = _sublinear_network()
-        d = simulate_data(pipes, leak, [(h_in, h_out)])[0]
-        for i in (2, 3):
-            x_i = candidate_position(pipes, i, d)
-            rd = residual_differential(pipes, i, x_i, leak.k, leak.x, d)
-            f = _rbar_of(pipes, i, x_i, leak.k, leak.x)
-            eps = 1e-6
-            fd_qin = (f(d.dh, d.q_in + eps) - f(d.dh, d.q_in - eps)) / (2 * eps)
-            fd_dh = (f(d.dh + eps, d.q_in) - f(d.dh - eps, d.q_in)) / (2 * eps)
-            assert rd.d_dqin == pytest.approx(fd_qin, rel=1e-3)
-            assert rd.d_ddh == pytest.approx(fd_dh, rel=1e-3)
+        # the leak is in pipe 1; the flow reverses when h_out exceeds h_in
+        _assert_differential_matches_finite_difference(*_sublinear_network(), h_in, h_out)
 
     def test_linear_pair_vanishes(self):
         pipes = PipeSet((Linear(0.1), Linear(0.2), SignedQuadratic(0.05)))
