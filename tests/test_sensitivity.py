@@ -239,6 +239,108 @@ class TestZeroDhSensitivity:
             zero_dh_sensitivity(mixed, 2, 1, 0.4, DataPoint(2.0, 2.0, 5.0, 0.0))
 
 
+def _zero_dh_network():
+    """The proportional two-pipe network of acceptance criterion 5."""
+    pipes = PipeSet((QuadraticPlusLinear(2.0), QuadraticPlusLinear(4.0)))
+    leak = LeakSpec(1, 0.4, FixedDemand(3.0))
+    return pipes, leak, measure(solve_leaky_state(pipes, leak, 2.0, 2.0), pipes, leak)
+
+
+def _first_order_records():
+    """(label, record) for every first-order quantity on example2, the
+    criterion-5 zero-head-loss network and the sublinear network."""
+    example2 = PipeSet(
+        (QuadraticPlusLinear(2.0), QuadraticPlusLinear(4.0), QuadraticPlusLinear(6.0))
+    )
+    cases = [
+        (f"example2 {h_in}", example2, LeakSpec(1, 0.65, SqrtLeak()), h_in, 1.0)
+        for h_in in (3.0, 5.0, 6.5)
+    ]
+    cases += [
+        (f"sublinear {h_in}-{h_out}", *_sublinear_network(), h_in, h_out)
+        for h_in, h_out in ((5.0, 1.0), (1.0, 5.0))
+    ]
+    for name, pipes, leak, h_in, h_out in cases:
+        d = simulate_data(pipes, leak, [(h_in, h_out)])[0]
+        for i in range(1, pipes.n + 1):
+            x_i = candidate_position(pipes, i, d)
+            yield f"{name} sections {i}", section_resistances(pipes, i, x_i, d)
+            yield f"{name} differential {i}", residual_differential(
+                pipes, i, x_i, leak.k, leak.x, d
+            )
+    pipes, leak, d0 = _zero_dh_network()
+    for i, k in ((1, 2), (2, 1)):
+        yield f"zero-dh sections {i}", section_resistances(pipes, i, 0.4, d0)
+        yield f"zero-dh differential {i} {k}", residual_differential(
+            pipes, i, 0.4, k, 0.4, d0
+        )
+        yield f"zero-dh sensitivity {i} {k}", zero_dh_sensitivity(pipes, i, k, 0.4, d0)
+
+
+def _bits(record):
+    return tuple(v.hex() if isinstance(v, float) else v for v in record._asdict().values())
+
+
+# float.hex of every field of the records above; on networks of at most three
+# pipes every summation order of the other pipes rounds alike
+FIRST_ORDER_BITS = {
+    "example2 3.0 sections 1": ("0x1.c4712dcddd5b7p+1", "0x1.aeb126804a6f7p-1"),
+    "example2 3.0 differential 1": ("0x1.4000000000000p-48", "-0x1.0000000000000p-49"),
+    "example2 3.0 sections 2": ("0x1.7d2eb1e3fffbfp+2", "0x1.1e3f0c2cc6fecp+1"),
+    "example2 3.0 differential 2": ("-0x1.89e72de665f2ep+0", "0x1.aeb223bdb003ap-1"),
+    "example2 3.0 sections 3": ("0x1.0e1ddd363c532p+3", "0x1.b875f14454497p+1"),
+    "example2 3.0 differential 3": ("-0x1.bfbc1c2e7f198p+0", "0x1.e46505e8590bep-1"),
+    "example2 5.0 sections 1": ("0x1.2966754a7d3f3p+2", "0x1.f8f93cd4cc593p-1"),
+    "example2 5.0 differential 1": ("-0x1.0000000000000p-49", "0x1.0000000000000p-51"),
+    "example2 5.0 sections 2": ("0x1.c1d1a8eb62c71p+2", "0x1.04088354aa11fp+1"),
+    "example2 5.0 differential 2": ("-0x1.40782b78a33c4p+0", "0x1.0d447da402888p-1"),
+    "example2 5.0 sections 3": ("0x1.3159f7c8749bcp+3", "0x1.d0e4902903302p+1"),
+    "example2 5.0 differential 3": ("-0x1.0ac8ca0cfc4d1p+1", "0x1.ba76af48d46a4p-1"),
+    "example2 6.5 sections 1": ("0x1.54f55b3211ff8p+2", "0x1.3b58c15eaa604p+0"),
+    "example2 6.5 differential 1": ("0x0.0p+0", "0x0.0p+0"),
+    "example2 6.5 sections 2": ("0x1.f621ca64dfe2fp+2", "0x1.c5f0d1682b87bp+0"),
+    "example2 6.5 differential 2": ("0x1.98b090f585700p-4", "-0x1.52c78d3a35500p-6"),
+    "example2 6.5 sections 3": ("0x1.4ac9af28002e8p+3", "0x1.c6afc2d2e753ep+1"),
+    "example2 6.5 differential 3": ("-0x1.6a3307de94098p+0", "0x1.07edf84deb9a4p-1"),
+    "sublinear 5.0-1.0 sections 1": ("0x1.7fa0b0e6a00c6p-4", "0x1.277e81db255bbp-3"),
+    "sublinear 5.0-1.0 differential 1": ("0x1.8000000000000p-52", "-0x1.0000000000000p-46"),
+    "sublinear 5.0-1.0 sections 2": ("0x1.14203de5b1316p-1", "0x1.6d4e001a4266cp-1"),
+    "sublinear 5.0-1.0 differential 2": ("0x1.b53edd24b41b0p-4", "-0x1.f13013afdeaf0p+1"),
+    "sublinear 5.0-1.0 sections 3": ("0x1.9f067811e4a63p-7", "0x1.3cfcbf842b331p-6"),
+    "sublinear 5.0-1.0 differential 3": ("0x1.692e1a526fc00p-8", "-0x1.9c155dbcaab00p-3"),
+    "sublinear 1.0-5.0 sections 1": ("0x1.8b6711894bfb6p-4", "0x1.219037193e62ep-3"),
+    "sublinear 1.0-5.0 differential 1": ("0x1.2000000000000p-47", "-0x1.4000000000000p-42"),
+    "sublinear 1.0-5.0 sections 2": ("0x1.ddc5f3dd89813p-2", "0x1.93bd35c39f3d3p-1"),
+    "sublinear 1.0-5.0 differential 2": ("-0x1.7506ea51176d8p-4", "0x1.a4cfe954e4900p+1"),
+    "sublinear 1.0-5.0 sections 3": ("0x1.a7a9154cdbe84p-7", "0x1.38aa93e1a2b2dp-6"),
+    "sublinear 1.0-5.0 differential 3": ("-0x1.58c05d324e800p-8", "0x1.83c08cf941400p-3"),
+    "zero-dh sections 1": ("0x1.c05dedf9de390p+1", "0x1.161ff3eaffbafp+2"),
+    "zero-dh differential 1 2": ("0x0.0p+0", "0x1.5888358a0707cp-2"),
+    "zero-dh sensitivity 1 2": ("0x1.5888358a0707bp-2", True, True),
+    "zero-dh sections 2": ("0x1.c05dedf9de390p+2", "0x1.161ff3eaffbafp+3"),
+    "zero-dh differential 2 1": ("0x0.0p+0", "-0x1.5888358a0707cp-2"),
+    "zero-dh sensitivity 2 1": ("-0x1.5888358a0707bp-2", True, True),
+}
+
+
+def test_first_order_values_are_pinned_bitwise():
+    got = {label: _bits(record) for label, record in _first_order_records()}
+    assert got == FIRST_ORDER_BITS
+
+
+@pytest.mark.parametrize("bad", [0, 3])
+def test_hypothesis_indices_are_range_checked(bad):
+    pipes, leak, d0 = _zero_dh_network()
+    for call in (
+        lambda: residual_differential(pipes, bad, 0.4, 1, 0.4, d0),
+        lambda: residual_differential(pipes, 2, 0.4, bad, 0.4, d0),
+        lambda: zero_dh_sensitivity(pipes, bad, 1, 0.4, d0),
+        lambda: zero_dh_sensitivity(pipes, 2, bad, 0.4, d0),
+    ):
+        with pytest.raises(IndexError, match=rf"^pipe index {bad} out of range 1\.\.2$"):
+            call()
+
+
 class TestInherentAmbiguity:
     def test_linear_pair_flagged(self):
         pipes = PipeSet((Linear(0.1), Linear(0.2), SignedQuadratic(0.05)))
