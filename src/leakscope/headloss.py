@@ -206,32 +206,31 @@ class PipeSet(Value):
 
     def admittances_excluding(self, dh: float) -> tuple[float, ...]:
         """Total flow through all pipes except j at head loss dh, for every
-        pipe j in pipe order.
+        pipe j in pipe order. Each pipe is inverted once."""
+        return _all_but_one([p.invert(dh) for p in self._pipes])
 
-        Each pipe is inverted once; entry j adds the prefix sum of the pipes
-        before j to the suffix sum of the pipes after it. All flows share the
-        sign of dh, so unlike total-minus-own no entry cancels a dominant pipe.
-        """
-        flows = [p.invert(dh) for p in self._pipes]
-        inlet = accumulate(flows, initial=0.0)  # entry i: pipes before i
-        outlet = list(accumulate(reversed(flows), initial=0.0))[::-1]  # i: from i on
-        return tuple(map(add, inlet, outlet[1:]))
-
-    def admittance_derivative_excluding(self, j: int, dh: float) -> float:
-        """Slope of the admittance sum, via the inverse function rule."""
-        self.pipe(j)  # range check
-        total = 0.0
-        for p in self._pipes[: j - 1] + self._pipes[j:]:
+    def admittance_derivatives_excluding(self, dh: float) -> tuple[float, ...]:
+        """Slope in dh of every entry of `admittances_excluding(dh)`: each pipe
+        adds 1 / U'(U^-1(dh)), or 0 where U' is unbounded. A law with zero
+        slope at dh, pipe j's own included, raises ZeroDivisionError."""
+        slopes = []
+        for p in self._pipes:
             try:
                 slope = p.derivative(p.invert(dh))
             except UnboundedDerivativeError:
-                continue  # infinite slope contributes zero admittance slope
+                slope = math.inf  # infinite law slope, zero admittance slope
             if slope == 0.0:
-                raise ZeroDivisionError(
-                    f"loss law {p} has zero slope at head loss {dh}"
-                )
-            total += 1.0 / slope
-        return total
+                raise ZeroDivisionError(f"loss law {p} has zero slope at head loss {dh}")
+            slopes.append(1.0 / slope)
+        return _all_but_one(slopes)
+
+
+def _all_but_one(values: list[float]) -> tuple[float, ...]:
+    """Entry j: the sum of every value but values[j], the values before j plus
+    those after it, so for values of one sign no entry cancels a dominant one."""
+    before = accumulate(values, initial=0.0)  # entry j: values before j
+    from_j = list(accumulate(reversed(values), initial=0.0))[::-1]  # j: from j on
+    return tuple(map(add, before, from_j[1:]))
 
 
 def detect_inherent_ambiguity(pipes: PipeSet) -> list[tuple[tuple[int, int], str]]:

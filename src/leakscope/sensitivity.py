@@ -58,30 +58,30 @@ class ConfusionFlowCurve(Value):
         self._residual_trace, self._converged = residual_trace, converged
 
 
-def section_resistances(
-    pipes: PipeSet, i: int, x_i: float, d: DataPoint
-) -> SectionResistances:
-    U_i = pipes.pipe(i)
-    G = pipes.admittance_excluding(i, d.dh)
-    return SectionResistances(
-        R_in=x_i * U_i.derivative(d.q_in - G),
-        R_out=(1.0 - x_i) * U_i.derivative(d.q_out - G),
-    )
+def section_resistances(pipes: PipeSet, i: int, x_i: float, d: DataPoint) -> SectionResistances:
+    return _sections(pipes.pipe(i), x_i, pipes.admittance_excluding(i, d.dh), d)
+
+
+def _sections(U_j, x_j: float, G_j: float, d: DataPoint) -> SectionResistances:
+    # pipe j carries the measured flows less G_j, the flow through the other pipes
+    q_in, q_out = d.q_in - G_j, d.q_out - G_j
+    return SectionResistances(x_j * U_j.derivative(q_in), (1.0 - x_j) * U_j.derivative(q_out))
 
 
 def residual_differential(
     pipes: PipeSet, i: int, x_i: float, k: int, x: float, d: DataPoint
 ) -> ResidualDifferential:
-    """Partials of the pipe-i residual when pipe k at x is truly leaking."""
-    sec_i = section_resistances(pipes, i, x_i, d)
-    sec_k = section_resistances(pipes, k, x, d)
-    Gp_i = pipes.admittance_derivative_excluding(i, d.dh)
-    Gp_k = pipes.admittance_derivative_excluding(k, d.dh)
-    d_dqin = sec_i.ratio - sec_k.ratio
-    d_ddh = (1.0 + Gp_k * (sec_k.R_in + sec_k.R_out)) / sec_k.R_out - (
-        1.0 + Gp_i * (sec_i.R_in + sec_i.R_out)
+    """Partials of the pipe-i residual when pipe k at x is truly leaking, at a
+    point `d` that both hypotheses explain: R_out is taken at the measured
+    q_out, which is each hypothesis's outflow only where the residual is zero."""
+    U_i, U_k = pipes.pipe(i), pipes.pipe(k)
+    G = pipes.admittances_excluding(d.dh)
+    sec_i, sec_k = _sections(U_i, x_i, G[i - 1], d), _sections(U_k, x, G[k - 1], d)
+    Gp = pipes.admittance_derivatives_excluding(d.dh)
+    d_ddh = (1.0 + Gp[k - 1] * (sec_k.R_in + sec_k.R_out)) / sec_k.R_out - (
+        1.0 + Gp[i - 1] * (sec_i.R_in + sec_i.R_out)
     ) / sec_i.R_out
-    return ResidualDifferential(d_dqin=d_dqin, d_ddh=d_ddh)
+    return ResidualDifferential(d_dqin=sec_i.ratio - sec_k.ratio, d_ddh=d_ddh)
 
 
 def confusion_flow_curve(
@@ -181,15 +181,16 @@ def zero_dh_sensitivity(
 ) -> ZeroDhSensitivity:
     """Sensitivity of the pipe-i residual to head-loss perturbations at a
     state with zero head loss and mutually proportional loss laws."""
-    if abs(d.dh) > 1e-12:
+    if not abs(d.dh) <= 1e-12:  # NaN fails too
         raise ValueError(f"requires a zero-head-loss data point, got dh={d.dh}")
     if len({p.shape_key() for p in pipes.pipes}) != 1:
         raise ValueError("requires mutually proportional head loss functions")
     # with zero head loss only the leaking pipe carries flow, and the
     # candidate position in every pipe equals the true x
-    sec_i = section_resistances(pipes, i, x, d)
-    R_0 = pipes.pipe(i).derivative(0.0)
-    sec_k = section_resistances(pipes, k, x, d)
+    U_i, U_k = pipes.pipe(i), pipes.pipe(k)
+    G = pipes.admittances_excluding(d.dh)
+    sec_i, R_0 = _sections(U_i, x, G[i - 1], d), U_i.derivative(0.0)
+    sec_k = _sections(U_k, x, G[k - 1], d)
     if R_0 == 0.0:
         raise UnboundedDerivativeError(
             "zero slope at zero flow: the residual has no finite head-loss "

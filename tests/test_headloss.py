@@ -185,22 +185,33 @@ class TestAdmittance:
     def test_derivative_linear(self):
         pipes = PipeSet((Linear(0.1), Linear(0.2), Linear(0.3)))
         for dh in (-1.0, 0.0, 5.0):
-            assert pipes.admittance_derivative_excluding(2, dh) == pytest.approx(
-                1 / 0.1 + 1 / 0.3
+            assert pipes.admittance_derivatives_excluding(dh) == pytest.approx(
+                (1 / 0.2 + 1 / 0.3, 1 / 0.1 + 1 / 0.3, 1 / 0.1 + 1 / 0.2)
             )
 
     def test_derivative_quadratic_plus_linear_at_zero(self):
         pipes = PipeSet(
             (QuadraticPlusLinear(2.0), QuadraticPlusLinear(4.0), QuadraticPlusLinear(6.0))
         )
-        assert pipes.admittance_derivative_excluding(1, 0.0) == pytest.approx(
-            1 / 4 + 1 / 6
+        assert pipes.admittance_derivatives_excluding(0.0) == pytest.approx(
+            (1 / 4 + 1 / 6, 1 / 2 + 1 / 6, 1 / 2 + 1 / 4)
         )
 
     def test_derivative_zero_slope_errors(self):
         pipes = PipeSet((SignedQuadratic(0.05), SignedQuadratic(0.1)))
-        with pytest.raises(ZeroDivisionError):
-            pipes.admittance_derivative_excluding(1, 0.0)
+        with pytest.raises(
+            ZeroDivisionError,
+            match=r"^loss law PowerLaw\(c=0\.05, gamma=2\.0\) has zero slope at head loss 0\.0$",
+        ):
+            pipes.admittance_derivatives_excluding(0.0)
+        # every entry is formed at once, so pipe 1's own zero slope raises too
+        with pytest.raises(ZeroDivisionError, match=r"^loss law PowerLaw\(c=0\.05,"):
+            PipeSet((SignedQuadratic(0.05), Linear(0.1))).admittance_derivatives_excluding(0.0)
+
+    def test_derivative_unbounded_law_slope_adds_zero(self):
+        # gamma < 1 has unbounded slope at zero flow, so zero admittance slope
+        pipes = PipeSet((PowerLaw(1.3, 0.6), Linear(0.5), Linear(0.25)))
+        assert pipes.admittance_derivatives_excluding(0.0) == (6.0, 4.0, 2.0)
 
 
 def test_pipeset_validation():

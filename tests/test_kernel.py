@@ -1,8 +1,10 @@
 """The per-data-point kernel: every per-pipe quantity that needs the flow
 through all other pipes must agree exactly with its one-pipe definition."""
 
+import math
 import random
 import struct
+import sys
 import warnings
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import simulate_data
 
 from leakscope import (
+    FixedDemand,
     LeakSpec,
     Linear,
     PipeSet,
@@ -18,6 +21,7 @@ from leakscope import (
     QuadraticPlusLinear,
     SignedQuadratic,
     SqrtLeak,
+    UnboundedDerivativeError,
     all_candidates,
     apparent_leak_flow,
     apparent_leak_head,
@@ -26,7 +30,11 @@ from leakscope import (
     estimate_outflow,
     fit_leak_function,
     isolate_by_leak_fit,
+    measure,
     residual,
+    residual_differential,
+    solve_leaky_state,
+    zero_dh_sensitivity,
 )
 
 SIZES = [1, 2, 3, 4, 17, 40]
@@ -127,6 +135,42 @@ def test_one_pipe_and_all_pipe_admittances_agree_bitwise(pipe_list, dh, data):
     assert struct.pack("<d", one) == struct.pack("<d", every[j - 1])
 
 
+def _assert_slopes_are_all_but_one_sums(pipes, dh):
+    """Entry j of the slope tuple is within (n - 1) eps of the exact sum of
+    the other pipes' admittance slopes."""
+    law_slopes = []
+    for p in pipes.pipes:
+        try:
+            law_slopes.append(p.derivative(p.invert(dh)))
+        except UnboundedDerivativeError:
+            law_slopes.append(math.inf)
+    if 0.0 in law_slopes:
+        with pytest.raises(ZeroDivisionError):
+            pipes.admittance_derivatives_excluding(dh)
+        return
+    slopes = [1.0 / s for s in law_slopes]
+    got = pipes.admittance_derivatives_excluding(dh)
+    assert len(got) == pipes.n
+    for j, entry in enumerate(got):
+        exact = math.fsum(slopes[:j] + slopes[j + 1:])
+        assert abs(entry - exact) <= (pipes.n - 1) * sys.float_info.epsilon * exact
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(laws, min_size=1, max_size=40), head_losses)
+def test_admittance_slopes_are_all_but_one_sums(pipe_list, dh):
+    _assert_slopes_are_all_but_one_sums(PipeSet(tuple(pipe_list)), dh)
+
+
+@pytest.mark.parametrize("position", [0, 17, 39])
+def test_admittance_slopes_survive_a_dominant_pipe(position):
+    # the slope 1e8 of the near-zero resistance swamps the others' 1/3 in any
+    # sum that holds it, so subtracting it from the total loses their digits
+    pipe_list = [Linear(3.0)] * 39
+    pipe_list.insert(position, Linear(1e-8))
+    _assert_slopes_are_all_but_one_sums(PipeSet(tuple(pipe_list)), 1.0)
+
+
 @pytest.fixture
 def count_inversions(monkeypatch):
     calls = [0]
@@ -167,3 +211,18 @@ def test_confusion_curve_forms_admittances_once_per_grid_point(monkeypatch):
     monkeypatch.setattr(PipeSet, "admittances_excluding", counted)
     confusion_flow_curve(pipes, 2, x_2, leak, grid, nominal.q_in)
     assert calls[0] == len(grid)
+
+
+def test_first_order_partials_invert_each_pipe_once_per_pass(count_inversions):
+    pipes, leak, data = mixed_network(6)
+    x_2 = all_candidates(pipes, data[0])[1].x_j
+    count_inversions[0] = 0
+    residual_differential(pipes, 2, x_2, leak.k, leak.x, data[0])
+    assert count_inversions[0] == 2 * pipes.n  # the flows, then the slopes
+
+    proportional = PipeSet(tuple(QuadraticPlusLinear(0.5 * j) for j in range(1, 7)))
+    leak = LeakSpec(1, 0.4, FixedDemand(3.0))
+    d0 = measure(solve_leaky_state(proportional, leak, 2.0, 2.0), proportional, leak)
+    count_inversions[0] = 0
+    zero_dh_sensitivity(proportional, 2, 1, 0.4, d0)
+    assert count_inversions[0] == proportional.n

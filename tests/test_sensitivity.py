@@ -230,6 +230,11 @@ class TestZeroDhSensitivity:
         ):
             zero_dh_sensitivity(pipes, 2, 1, 0.4, d0)
 
+    def test_nan_head_loss_rejected(self):
+        pipes = PipeSet((QuadraticPlusLinear(2.0), QuadraticPlusLinear(4.0)))
+        with pytest.raises(ValueError, match=r"^requires a zero-head-loss data point, got dh=nan$"):
+            zero_dh_sensitivity(pipes, 2, 1, 0.4, DataPoint(math.nan, 2.0, 3.0, 0.0))
+
     def test_preconditions(self):
         pipes = PipeSet((QuadraticPlusLinear(2.0), QuadraticPlusLinear(4.0)))
         with pytest.raises(ValueError):
