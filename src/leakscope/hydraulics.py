@@ -2,8 +2,8 @@
 
 The coupled flow/head system reduces to one scalar equation in the head at
 the leak: the inflow section, outflow section and leak law must balance.
-That map is strictly decreasing in the leak head, so Brent's zeroin on an
-expanding bracket finds the unique solution.
+That map is strictly decreasing in the leak head and has a closed-form
+slope, so a safeguarded Newton finds the unique solution.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .headloss import PipeSet, Value, _check_positive
-from .rootfind import NoRootError, brent, expand_bracket
+from .rootfind import NoRootError, newton
 
 
 class PowerLawLeak(Value):
@@ -112,32 +112,38 @@ def solve_leaky_state(
 
     Root variable is the head at the leak: the section-flow mismatch
     f(h) = U_k^-1((h_in - h)/x) - U_k^-1((h - h_out)/(1-x)) - g(h)
-    is strictly decreasing, so the root is unique.
+    is strictly decreasing, so the root is unique. Newton from the zero-leak head
+    h_in - x dh takes f' = -1/(x U_k'(q_in)) - 1/((1-x) U_k'(q_out)) - g'(h) from
+    f's values; Brent's zeroin takes over where a section head is 0, as at dh = 0.
     """
     if leak.k > pipes.n:
         raise ValueError(f"leaking pipe {leak.k} out of range 1..{pipes.n}")
-    U_k = pipes.pipe(leak.k)
-    x, leak_flow = leak.x, leak.leak.flow
+    U_k, fn, x = pipes.pipe(leak.k), leak.leak, leak.x
+    invert, leak_flow, x1, gamma, c = U_k.invert, fn.flow, 1.0 - x, getattr(U_k, "gamma", 0), U_k.c
+    beta, h_y = (fn.beta, fn.h_y) if isinstance(fn, PowerLawLeak) else (0.0, -math.inf)
 
-    def mismatch(h: float) -> float:
-        q_in_k = U_k.invert((h_in - h) / x)
-        q_out_k = U_k.invert((h - h_out) / (1.0 - x))
-        return q_in_k - q_out_k - leak_flow(h)
+    def mismatch(h: float) -> tuple[float, float]:
+        head_in, head_out = h_in - h, h - h_out
+        q_in_k, q_out_k = invert(head_in / x), invert(head_out / x1)
+        g = leak_flow(h)
+        # 1/(w U'(q)) on a share w of the pipe: q/(gamma head), or 1/(c w (2|q| + 1))
+        slope = math.nan if not (head_in and head_out) else (  # no finite slope at a head of 0
+            (q_in_k / head_in + q_out_k / head_out) / gamma if gamma else
+            (1.0 / (x * (2.0 * abs(q_in_k) + 1.0)) + 1.0 / (x1 * (2.0 * abs(q_out_k) + 1.0))) / c)
+        return q_in_k - q_out_k - g, -slope - (beta * g / (h - h_y) if g else 0.0)
 
-    lo, hi = min(h_in, h_out), max(h_in, h_out)
     try:
-        h_leak = brent(mismatch, *expand_bracket(mismatch, lo, hi), xtol=1e-13)
+        h_leak = newton(mismatch, h_in - x * (h_in - h_out), xtol=1e-13)
     except ValueError as exc:  # no sign change, or a flow beyond the float range
         raise NoRootError(f"no leak head balances the boundary heads: {exc}") from exc
 
-    if isinstance(leak.leak, PowerLawLeak) and h_leak <= leak.leak.h_y:
+    if h_leak <= h_y:  # a fixed demand's h_y is -inf
         raise NoRootError(
             f"solved leak head {h_leak} does not exceed the leak elevation "
-            f"{leak.leak.h_y}; the leak law is inconsistent with these boundary heads"
+            f"{h_y}; the leak law is inconsistent with these boundary heads"
         )
 
-    q_in_k = U_k.invert((h_in - h_leak) / x)
-    q_out_k = U_k.invert((h_leak - h_out) / (1.0 - x))
+    q_in_k, q_out_k = invert((h_in - h_leak) / x), invert((h_leak - h_out) / x1)
     # by position: keywords cost more, and this runs once per state
     return HydraulicState(h_in, h_out, q_in_k, q_out_k, h_leak)
 

@@ -1,4 +1,4 @@
-"""Bracketed root finding for monotone scalar equations: Brent's zeroin."""
+"""Root finding for monotone scalar equations: safeguarded Newton, Brent's zeroin."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import sys
 from collections.abc import Callable
 
 EPS = sys.float_info.epsilon
-MAX_ITER = 200  # zeroin steps before brent returns its current estimate
+MAX_ITER = 200  # steps before brent or newton returns its current estimate
 
 
 class NoRootError(ValueError):
@@ -98,3 +98,27 @@ def brent(
             c, fc = a, fa
             d = e = b - a
     return b
+
+
+def newton(fdf: Callable[[float], tuple[float, float]], x: float, xtol: float = 1e-13) -> float:
+    """Root of a strictly monotone f by Newton steps from x, fdf(x) = (f, f'). Until points on
+    both sides bound the root a step is at most 16 (|x| + 1); then one leaving the bounds or over
+    half the last step bisects them (rtsafe, Numerical Recipes 9.4). Brent takes over where f' is
+    0 or not finite. Stops at bounds 2 tol apart, tol = 2 eps |x| + xtol/2, at a step under tol and
+    the last; or when k = step/(last Newton step)^2 repeats, step < 1% of it, k step^2 <= tol."""
+    lo, hi, last, newt, k = -math.inf, math.inf, EPS * abs(x), math.nan, math.nan
+    for _ in range(MAX_ITER):
+        fx, dfx = fdf(x)
+        if not 0.0 < abs(dfx) < math.inf:
+            return brent(f := lambda t: fdf(t)[0], *expand_bracket(f, x, x), xtol=xtol)
+        dx, tol, k0, k = -fx / dfx, 2.0 * EPS * abs(x) + 0.5 * xtol, k, abs(fx / dfx / newt / newt)
+        converged = abs(dx) <= min(tol, abs(last)) or (  # k |newt| = |dx / newt|
+            k0 <= 2 * k <= 4 * k0 and k * abs(newt) <= 0.01 and k * dx * dx <= tol)
+        lo, hi = (x, hi) if dx > 0.0 else (lo, x)
+        if converged or hi - lo <= 2.0 * tol:
+            return min(max(x + dx, lo), hi)
+        dx = max(-16 * abs(x) - 16, min(dx, 16 * abs(x) + 16)) if hi - lo == math.inf else dx
+        is_newton = hi - lo == math.inf or lo < x + dx < hi and abs(dx) <= 0.5 * abs(last)
+        last, newt = (dx, dx) if is_newton else (0.5 * (lo + hi) - x, math.nan)
+        x += last
+    return x

@@ -557,7 +557,7 @@ EQUAL_HEAD_LOSSES = {
     "leak": {"k": 2, "x": 0.5, "fn": {"type": "fixed_demand", "q_leak": 0.0}},
     "boundary": [[2.0, -0.002], [3.0, 1.0]],
 }
-# both frozen candidates are 1
+# a zero leak: its data give candidate positions from rounding alone
 POSITION_ONE = {
     "pipes": [{"type": "linear", "R": 0.1}, {"type": "linear", "R": 0.1}],
     "leak": {"k": 1, "x": 0.7, "fn": {"type": "fixed_demand", "q_leak": 0.0}},
@@ -627,8 +627,6 @@ def test_no_command_ends_in_a_traceback(doc):
     [
         (EQUAL_HEAD_LOSSES, "candidates", 1, ["candidates.csv"], 2),
         (EQUAL_HEAD_LOSSES, "isolate", 1, [], 0),
-        (POSITION_ONE, "residual-sweep", 1, ["residual_sweep.csv"], 2),
-        (POSITION_ONE, "confusion", 1, [], 0),
         (OVERFLOWING_FIT, "leakfit", 0, ["leakfit_results.csv", "leakfit_samples.csv"], 0),
         (INLET_LEAK, "confusion", 1, [], 0),
         (TINY_C, "simulate", 1, ["simulate.csv"], 3),
@@ -639,8 +637,8 @@ def test_no_command_ends_in_a_traceback(doc):
         *[(STEEP_POWER, command, 1, [], 0) for command in ANALYSES],
     ],
     ids=[
-        "equal-losses-candidates", "equal-losses-isolate", "position-one-residual-sweep",
-        "position-one-confusion", "overflowing-fit-leakfit", "inlet-leak-confusion",
+        "equal-losses-candidates", "equal-losses-isolate",
+        "overflowing-fit-leakfit", "inlet-leak-confusion",
         "tiny-c-simulate", "tiny-c-candidates", *[f"tiny-c-{command}" for command in ANALYSES],
         "steep-power-simulate", "steep-power-candidates",
         *[f"steep-power-{command}" for command in ANALYSES],
@@ -649,6 +647,33 @@ def test_no_command_ends_in_a_traceback(doc):
 def test_arithmetic_edge_is_an_error_row_or_line(
     tmp_path, capsys, doc, command, code, files, error_rows
 ):
+    assert_error_rows_or_line(tmp_path, capsys, doc, command, code, files, error_rows)
+
+
+@pytest.mark.parametrize(
+    "command,files,error_rows",
+    [("residual-sweep", ["residual_sweep.csv"], 2), ("confusion", [], 0)],
+    ids=["residual-sweep", "confusion"],
+)
+def test_candidate_at_position_one_is_an_error_row_or_line(
+    tmp_path, capsys, monkeypatch, command, files, error_rows
+):
+    # simulated data put a candidate at exactly 1 only through the rounding of
+    # a zero leak, so the frozen candidates are set to 1 here, not solved for
+    from leakscope import localization
+
+    def at_position_one(pipes, d):
+        return [localization.LeakCandidate(j, 1.0, 0.0) for j in range(1, pipes.n + 1)]
+
+    monkeypatch.setattr(localization, "all_candidates", at_position_one)
+    errors = assert_error_rows_or_line(
+        tmp_path, capsys, POSITION_ONE, command, 1, files, error_rows
+    )
+    assert errors and all("position 1 in pipe" in error for error in errors)
+
+
+def assert_error_rows_or_line(tmp_path, capsys, doc, command, code, files, error_rows):
+    """Run one command on doc; return its error cells, or its one error line."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -659,9 +684,11 @@ def test_arithmetic_edge_is_an_error_row_or_line(
         assert err_lines == []
     else:
         assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
-    if error_rows:
-        rows = list(csv.reader((out / files[0]).read_text().splitlines()[1:]))
-        assert sum(bool(row[-1]) for row in rows) == error_rows == len(rows)
+    if not error_rows:
+        return err_lines
+    rows = list(csv.reader((out / files[0]).read_text().splitlines()[1:]))
+    assert sum(bool(row[-1]) for row in rows) == error_rows == len(rows)
+    return [row[-1] for row in rows]
 
 
 def test_overflowing_fit_ranks_before_negative_head(tmp_path):

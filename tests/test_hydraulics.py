@@ -20,6 +20,7 @@ from leakscope import (
     solve_leaky_state,
     sweep,
 )
+from conftest import linspace
 from test_kernel import mixed_network
 
 
@@ -147,6 +148,43 @@ def test_large_head_solve_stops_early(example1, monkeypatch, h_out):
     state = solve_leaky_state(pipes, leak, h_out + 4.0, h_out)
     assert len(calls) <= 40
     check_state_invariants(pipes, leak, state, tol=4 * math.ulp(h_out))
+
+
+def count_leak_law_calls(monkeypatch) -> list[float]:
+    # counted on the classes, as the benchmark's tracer counts them
+    calls = []
+    for cls in (PowerLawLeak, FixedDemand):
+        flow = cls.flow
+        counted = lambda self, h, flow=flow: calls.append(h) or flow(self, h)  # noqa: E731
+        monkeypatch.setattr(cls, "flow", counted)
+    return calls
+
+
+def evaluations_per_solve(networks, grid, calls) -> list[int]:
+    counts = []
+    for pipes, leak in networks:
+        for h_in, h_out in grid:
+            before = len(calls)
+            try:
+                solve_leaky_state(pipes, leak, h_in, h_out)
+            except NoRootError:
+                pass
+            counts.append(len(calls) - before)
+    return counts
+
+
+def test_newton_solve_evaluation_counts(example1, example2, monkeypatch):
+    networks = [example1[:2], example2, mixed_network(4)[:2]]
+    calls = count_leak_law_calls(monkeypatch)
+    # the examples' operating range: 1 + dh over 1, dh from 0.5 to 6
+    grid = [(1.0 + dh, 1.0) for dh in linspace(0.5, 6.0, 100)]
+    counts = evaluations_per_solve(networks, grid, calls)
+    assert sum(counts) / len(counts) <= 5.5 and max(counts) <= 8
+    # both flow directions and outlet heads up to 100, where some roots sit next
+    # to a zero section flow or the leak elevation and take longest (Brent: 21)
+    grid = [(h + dh, h) for h in (1.0, 3.0, 10.0, 100.0) for dh in linspace(-8.0, 8.0, 65)]
+    counts = evaluations_per_solve(networks, grid, calls)
+    assert sum(counts) / len(counts) <= 5.5 and max(counts) <= 20
 
 
 def test_monotone_leak_response(example2):

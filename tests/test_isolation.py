@@ -213,8 +213,8 @@ class TestIsolateByLeakFit:
         frozen = {c.j: c.x_j for c in all_candidates(sc.pipes, data[0])}
         fits = isolate_by_leak_fit(sc.pipes, data, frozen)
         assert [(f.j, f.C_j.hex(), f.beta_j.hex(), f.rmse.hex()) for f in fits] == [
-            (2, "0x1.8ffffffffffffp+5", "0x1.0000000000005p-1", "0x1.52069058b5b19p-42"),
-            (1, "0x1.ed863d82ae516p+4", "0x1.5244d028707bcp-1", "0x1.0543aecd83ac1p-1"),
+            (2, "0x1.9000000000009p+5", "0x1.0000000000002p-1", "0x1.612e0a0d31a0bp-43"),
+            (1, "0x1.ed863d82ae522p+4", "0x1.5244d028707bap-1", "0x1.0543aecd83e7dp-1"),
             (3, "nan", "nan", "inf"),
         ]
 

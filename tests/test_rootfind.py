@@ -1,13 +1,15 @@
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from leakscope import (
     FixedDemand,
     LeakSpec,
+    Linear,
     PipeSet,
     PowerLaw,
+    PowerLawLeak,
     QuadraticPlusLinear,
     solve_leaky_state,
 )
@@ -83,3 +85,76 @@ def test_fixed_demand_leak_solves(gamma):
     assert state.h_leak - 1.0 == pytest.approx(
         (1 - x) * U.evaluate(state.q_out_k), abs=1e-12
     )
+
+
+# the forward solve's Newton, over networks whose leaking pipe takes every law
+# family and a head scale up to 1e6
+LEAKING_LAWS = st.one_of(
+    st.builds(PowerLaw, st.floats(1e-3, 1e3), st.sampled_from([0.5, 1.0, 1.85, 2.0, 3.0])),
+    st.builds(QuadraticPlusLinear, st.floats(1e-3, 1e3)),
+)
+LEAKS = st.one_of(
+    st.builds(PowerLawLeak, st.floats(1e-3, 1e3), st.floats(0.3, 2.0), st.floats(-1e6, 1e6)),
+    st.builds(FixedDemand, st.floats(0.0, 1e3)),
+)
+HEADS = st.floats(-1e6, 1e6)
+
+
+def mismatch_and_rounding(pipes, leak, h_in, h_out):
+    """The forward mismatch f(h) and EPS times the sum of its terms' sizes."""
+    U, x = pipes.pipe(leak.k), leak.x
+
+    def f(h):
+        q_in, q_out = U.invert((h_in - h) / x), U.invert((h - h_out) / (1 - x))
+        g = leak.leak.flow(h)
+        return q_in - q_out - g, EPS * (abs(q_in) + abs(q_out) + g)
+
+    return f
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    law=LEAKING_LAWS,
+    x=st.floats(0.01, 0.99),
+    fn=LEAKS,
+    h_in=HEADS,
+    dh=st.just(0.0) | st.floats(-1e6, 1e6),
+)
+# a start next to both section zeros, whose steep slope once stopped the solve
+@example(law=PowerLaw(1.0, 1.85), x=0.5, fn=FixedDemand(1.0), h_in=0.0, dh=6.471743670254779e-217)
+# a vanishing slope at the start (gamma < 1), whose first step once overshot to -5e74
+@example(law=PowerLaw(1.0, 0.5), x=0.5, fn=FixedDemand(1.0), h_in=0.0, dh=2.3369925908907744e-76)
+# halving steps toward a root at a gamma = 0.5 section zero, which once passed for quadratic
+@example(law=PowerLaw(1.0, 0.5), x=0.5, fn=FixedDemand(1.57e-83), h_in=0.0, dh=1.57e-83)
+# a long first step, whose step ratio once understated the last step's error
+@example(law=QuadraticPlusLinear(66.0), x=0.5, fn=PowerLawLeak(36.0, 1.0, 0.0), h_in=0.0, dh=-9.0)
+def test_newton_solve_brackets_the_mismatch_root(law, x, fn, h_in, dh):
+    pipes, leak, h_out = PipeSet((law, Linear(0.3))), LeakSpec(1, x, fn), h_in - dh
+    f = mismatch_and_rounding(pipes, leak, h_in, h_out)
+    try:
+        h = solve_leaky_state(pipes, leak, h_in, h_out).h_leak
+    except NoRootError as exc:
+        # only a root at or below the leak elevation, within the tolerance
+        assert "does not exceed the leak elevation" in str(exc)
+        h = fn.h_y
+        value, rounding = f(h + 1e-13 + 4 * EPS * abs(h))
+        assert value <= 4 * rounding
+        return
+    # f changes sign within xtol + 4 eps |h| of the result, as for brent, up to
+    # its own rounding: Newton stops on its step, not on a computed sign change,
+    # and where a few ulps of the flows outweigh f's change over that distance,
+    # no point resolves the sign change any closer
+    delta = 1e-13 + 4 * EPS * abs(h)
+    (below, r_below), (above, r_above) = f(h - delta), f(h + delta)
+    assert below >= -4 * r_below and above <= 4 * r_above
+
+
+@settings(max_examples=100, deadline=None)
+@given(law=LEAKING_LAWS, x=st.floats(0.01, 0.99), h_y=HEADS, depth=st.floats(1e-6, 1e3), drop=HEADS)
+def test_newton_solve_below_the_leak_elevation_fails(law, x, h_y, depth, drop):
+    # both heads below h_y: the zero-leak head, where g = 0, is the root
+    h_in = h_y - depth
+    assume(h_in < h_y and h_in - drop < h_y)
+    leak = LeakSpec(1, x, PowerLawLeak(1.0, 0.5, h_y))
+    with pytest.raises(NoRootError, match="does not exceed the leak elevation"):
+        solve_leaky_state(PipeSet((law,)), leak, h_in, h_in - drop)
