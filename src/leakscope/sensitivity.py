@@ -4,9 +4,16 @@ Quantifies how the wrong-pipe residual reacts to perturbations of the
 hydraulic state: section resistances, the residual differential, confusion
 flow curves along which a wrong pipe stays plausible, and the
 zero-head-loss sensitivity formula.
+
+A confusion-curve point solves for the q_in at which the true leak and pipe
+i's hypothesis imply the same outflow, by Newton steps on the exact slope
+that `localization._outflow` returns with each outflow: minus the
+`SectionResistances.ratio` that `residual_differential` differences.
 """
 
 from __future__ import annotations
+
+import math
 
 from .headloss import PipeSet, UnboundedDerivativeError, Value
 from .hydraulics import DataPoint, LeakSpec
@@ -95,9 +102,11 @@ def confusion_flow_curve(
     """Continuation along dh_grid: at each head loss, solve for the inflow
     that keeps the pipe-i residual at zero under the true leak hypothesis.
 
-    Damped Newton seeded by the previous grid point, with Brent's zeroin on
-    an expanding bracket as the fallback. Non-convergence is flagged per
-    point, not fatal.
+    Damped Newton on the mismatch's exact q_in-slope, seeded by the previous
+    converged grid point and stopped at |mismatch| <= CURVE_TOL, with Brent's
+    zeroin on an expanding bracket as the fallback where the slope is 0 or not
+    finite or the steps stall. Non-convergence is flagged per point, not
+    fatal.
     """
     k, x = truth.k, truth.x
     U_k, U_i = pipes.pipe(k), pipes.pipe(i)
@@ -109,11 +118,14 @@ def confusion_flow_curve(
     for dh in dh_grid:
         G = pipes.admittances_excluding(dh)
 
-        def f(q: float, dh=dh, G_k=G[k - 1], G_i=G[i - 1]) -> float:
-            # outflow the truth would produce, minus the outflow hypothesis i expects
-            return _outflow(U_k, x, G_k, dh, q) - _outflow(U_i, x_i, G_i, dh, q)
+        def fdf(q: float, dh=dh, G_k=G[k - 1], G_i=G[i - 1]) -> tuple[float, float]:
+            # outflow the truth would produce, minus the outflow hypothesis i
+            # expects, and the slope of that difference in q
+            out_k, slope_k = _outflow(U_k, x, G_k, dh, q)
+            out_i, slope_i = _outflow(U_i, x_i, G_i, dh, q)
+            return out_k - out_i, slope_k - slope_i
 
-        q, res, ok = _solve_point(f, seed)
+        q, res, ok = _solve_point(fdf, seed)
         q_vals.append(q)
         residuals.append(abs(res))
         flags.append(ok)
@@ -128,29 +140,33 @@ def confusion_flow_curve(
     )
 
 
-def _solve_point(f, seed: float) -> tuple[float, float, bool]:
+def _solve_point(fdf, seed: float) -> tuple[float, float, bool]:
+    """Damped Newton from `seed` on fdf(q) = (f, f'), until |f| <= CURVE_TOL.
+
+    A step is halved until |f| shrinks. Where f' is 0 or not finite (a zero
+    section flow), or the steps stall, Brent's zeroin on a bracket grown
+    around the seed takes over."""
     q = seed
-    fq = f(q)
+    fq, slope = fdf(q)
     for _ in range(CURVE_MAX_ITER):
-        if abs(fq) <= CURVE_TOL:
-            break
-        step = 1e-6 * max(1.0, abs(q))
-        slope = (f(q + step) - f(q - step)) / (2.0 * step)
-        if slope == 0.0:
+        if abs(fq) <= CURVE_TOL or not 0.0 < abs(slope) < math.inf:
             break
         delta = -fq / slope
         # damping: halve until the residual actually shrinks
         for _ in range(50):
             q_new = q + delta
-            f_new = f(q_new)
+            f_new, s_new = fdf(q_new)
             if abs(f_new) < abs(fq):
-                q, fq = q_new, f_new
+                q, fq, slope = q_new, f_new, s_new
                 break
             delta *= 0.5
         else:
             break
     if abs(fq) > CURVE_TOL:
         # bracketed fallback around the seed
+        def f(t: float) -> float:
+            return fdf(t)[0]
+
         width = max(1.0, abs(seed))
         try:
             bracket = expand_bracket(f, seed - width, seed + width, max_expand=30)

@@ -1,8 +1,13 @@
 import math
+import statistics
+import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import simulate_data
+from test_kernel import SIZES, mixed_network, short_grid
 
 from leakscope import (
     DataPoint,
@@ -15,6 +20,8 @@ from leakscope import (
     SignedQuadratic,
     SqrtLeak,
     UnboundedDerivativeError,
+    all_candidates,
+    bundled_scenario,
     candidate_position,
     confusion_flow_curve,
     detect_inherent_ambiguity,
@@ -25,6 +32,9 @@ from leakscope import (
     solve_leaky_state,
     zero_dh_sensitivity,
 )
+from leakscope import sensitivity
+from leakscope.cli import main as cli_main
+from leakscope.localization import _outflow
 
 
 class TestSectionResistances:
@@ -172,6 +182,130 @@ class TestConfusionFlows:
             assert all(curve.converged)
             slope = (curve.q_in_conf[1] - curve.q_in_conf[2]) / (2 * h)
             assert slope == pytest.approx(-rd.d_ddh / rd.d_dqin, rel=1e-2)
+
+
+def _assert_curve_slopes_are_exact(pipes, leak, nominal, grid) -> tuple[int, int]:
+    """At every converged point of each pipe's confusion curve through `nominal`,
+    each outflow's exact q_in-slope matches a central difference of the outflow
+    to 1e-6, and the mismatch's slope is residual_differential's d_dqin.
+    Returns the converged points and the outflow slopes checked by differences."""
+    k, x = leak.k, leak.x
+    points = differenced = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # candidates outside (0,1)
+        candidates = all_candidates(pipes, nominal)
+    for cand in candidates:
+        i, x_i = cand.j, cand.x_j
+        curve = confusion_flow_curve(pipes, i, x_i, leak, grid, nominal.q_in)
+        for dh, q, ok in zip(curve.dh_grid, curve.q_in_conf, curve.converged):
+            if not ok:
+                continue
+            points += 1
+            G = pipes.admittances_excluding(dh)
+            h = 1e-6 * max(1.0, abs(q))
+            slopes = []
+            for j, x_j in ((k, x), (i, x_i)):
+                out, slope = _outflow(pipes.pipe(j), x_j, G[j - 1], dh, q)
+                a, b = q - G[j - 1], out - G[j - 1]
+                slopes.append((out, slope))
+                # the laws are smooth away from zero flow: difference only where the
+                # stencil moves each section flow by under 0.1 % of itself
+                if h <= 1e-3 * abs(a) and abs(slope) * h <= 1e-3 * abs(b):
+                    fd = (
+                        estimate_outflow(pipes, j, x_j, dh, q + h)
+                        - estimate_outflow(pipes, j, x_j, dh, q - h)
+                    ) / (2.0 * h)
+                    assert slope == pytest.approx(fd, rel=1e-6), (i, j, dh, q)
+                    differenced += 1
+            (out_k, slope_k), (out_i, slope_i) = slopes
+            if 0.0 in (q - G[k - 1], q - G[i - 1], out_k - G[k - 1], out_k - G[i - 1]):
+                continue  # a zero section flow: no finite section resistance
+            rd = residual_differential(pipes, i, x_i, k, x, DataPoint(dh, 0.0, q, out_k))
+            # d_dqin takes each R_out at the section flow b = out_k - G_j, which
+            # carries the rounding of out_k -+ G_j and, for pipe i, the mismatch;
+            # moving b by db moves U_j'(b) by at most |db/b| relative for these laws
+            tol = 1e-12 * (abs(slope_k) + abs(slope_i))
+            for slope, out, G_j in ((slope_k, out_k, G[k - 1]), (slope_i, out_i, G[i - 1])):
+                db = abs(out_k - out) + sys.float_info.epsilon * abs(out_k)
+                tol += 2.0 * abs(slope) * db / abs(out_k - G_j)
+            assert abs(slope_k - slope_i - rd.d_dqin) <= tol, (i, dh, q)
+    return points, differenced
+
+
+class TestConfusionCurveSlope:
+    """The curve solver's exact slope against central differences and the
+    first-order layer."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_mixed_networks(self, n):
+        pipes, leak, data = mixed_network(n)
+        points, differenced = _assert_curve_slopes_are_exact(
+            pipes, leak, data[0], short_grid(data[0])
+        )
+        # a few curves pass next to a zero section flow, where differences fail
+        assert points > 0 and differenced >= 1.9 * points
+
+    def test_example2_cli_grid(self, example2):
+        pipes, leak = example2
+        nominal = simulate_data(pipes, leak, [(5.0, 1.0)])[0]
+        grid = [3.0 + 0.05 * s for s in range(41)]
+        for part in (grid[20:], grid[:20][::-1]):
+            points, differenced = _assert_curve_slopes_are_exact(pipes, leak, nominal, part)
+            assert points > 0 and differenced == 2 * points
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.builds(PowerLaw, st.floats(0.05, 3.0), st.sampled_from([0.5, 1.0, 1.85, 2.0])),
+                st.builds(QuadraticPlusLinear, st.floats(0.05, 3.0)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.floats(0.1, 0.9),
+        st.floats(0.5, 6.0),
+        st.data(),
+    )
+    def test_drawn_networks(self, laws, x, dh, data):
+        pipes = PipeSet(tuple(laws))
+        leak = LeakSpec(data.draw(st.integers(1, pipes.n), label="k"), x, SqrtLeak())
+        nominal = simulate_data(pipes, leak, [(1.0 + dh, 1.0)])[0]
+        _assert_curve_slopes_are_exact(pipes, leak, nominal, short_grid(nominal))
+
+
+def test_confusion_curve_evaluation_counts(tmp_path, monkeypatch):
+    # mismatch evaluations per point of example2's CLI curves, two outflows each
+    calls, fallbacks, points = [0], [0], []
+    outflow, solve = sensitivity._outflow, sensitivity._solve_point
+    expand = sensitivity.expand_bracket
+
+    def counted_outflow(*args):
+        calls[0] += 1
+        return outflow(*args)
+
+    def counted_expand(*args, **kwargs):
+        fallbacks[0] += 1
+        return expand(*args, **kwargs)
+
+    def counted_solve(fdf, seed):
+        before = calls[0], fallbacks[0]
+        result = solve(fdf, seed)
+        points.append(((calls[0] - before[0]) / 2, fallbacks[0] > before[1]))
+        return result
+
+    monkeypatch.setattr(sensitivity, "_outflow", counted_outflow)
+    monkeypatch.setattr(sensitivity, "expand_bracket", counted_expand)
+    monkeypatch.setattr(sensitivity, "_solve_point", counted_solve)
+    scenario = str(bundled_scenario("example2"))
+    assert cli_main(["confusion", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+    assert len(points) == 3 * 41
+    assert statistics.median(e for e, _ in points) <= 5
+    newton = [e for e, fell_back in points if not fell_back]
+    assert sum(newton) / len(newton) <= 4.5
+    # only pipe 2's last point below the nominal head loss, dh 3.0, falls back;
+    # test_cli's strict xfail pins where it lands
+    assert [n for n, (_, fell_back) in enumerate(points) if fell_back] == [60]
 
 
 class TestZeroDhSensitivity:
