@@ -11,6 +11,7 @@ and gamma = 2, so equal laws compare equal however they are spelled.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from itertools import accumulate
 from operator import add, attrgetter
 
@@ -206,8 +207,13 @@ class PipeSet(Value):
 
     def admittances_excluding(self, dh: float) -> tuple[float, ...]:
         """Total flow through all pipes except j at head loss dh, for every
-        pipe j in pipe order. Each pipe is inverted once."""
-        return _all_but_one([p.invert(dh) for p in self._pipes])
+        pipe j in pipe order, from the flows of `flows(dh)`."""
+        return _flows_and_sums(self, dh)[1]
+
+    def flows(self, dh: float) -> tuple[float, ...]:
+        """Every pipe's flow U^-1(dh) at head loss dh, in pipe order. A set
+        inverts each pipe once per head loss while no other set is asked."""
+        return _flows_and_sums(self, dh)[0]
 
     def admittance_derivatives_excluding(self, dh: float) -> tuple[float, ...]:
         """Slope in dh of every entry of `admittances_excluding(dh)`: each pipe
@@ -225,7 +231,36 @@ class PipeSet(Value):
         return _all_but_one(slopes)
 
 
-def _all_but_one(values: list[float]) -> tuple[float, ...]:
+# The last PipeSet asked and a table of its flows and their all-but-one sums,
+# by head loss: every layer asks a set about the same head losses. The memo
+# holds its set, so no set built later can take that set's id, and it swaps
+# set and table in one assignment, so a table only ever holds its own set's
+# entries. Each entry holds 2n floats, at most _MEMO_FLOATS in all, so a wide
+# set keeps fewer head losses; the table is cleared when full.
+_MEMO_FLOATS = 8192
+_memo: tuple[PipeSet | None, dict] = (None, {})
+
+
+def _flows_and_sums(pipes: PipeSet, dh: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    global _memo
+    owner, table = _memo
+    if owner is not pipes:
+        table = {}
+        _memo = pipes, table
+    key = dh or repr(dh)  # 0.0 == -0.0, but their flows differ in the sign of zero
+    entry = table.get(key)
+    if entry is None:
+        flows = tuple([p.invert(dh) for p in pipes._pipes])
+        entry = flows, _all_but_one(flows)
+        size = 2 * len(flows)
+        if size * (len(table) + 1) > _MEMO_FLOATS:
+            table.clear()
+        if size <= _MEMO_FLOATS:
+            table[key] = entry
+    return entry
+
+
+def _all_but_one(values: Sequence[float]) -> tuple[float, ...]:
     """Entry j: the sum of every value but values[j], the values before j plus
     those after it, so for values of one sign no entry cancels a dominant one."""
     before = accumulate(values, initial=0.0)  # entry j: values before j

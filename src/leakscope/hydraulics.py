@@ -151,9 +151,10 @@ def solve_leaky_state(
 def measure(state: HydraulicState, pipes: PipeSet, leak: LeakSpec) -> DataPoint:
     """Collapse a state into the four boundary sensor readings: the leaking
     pipe's section flows plus the flow through all other pipes at dh."""
-    dh, k = state.dh, leak.k
-    # fsum rounds once; sum() accumulates differently from Python 3.12 on
-    through = math.fsum(p.invert(dh) for i, p in enumerate(pipes.pipes, start=1) if i != k)
+    flows, k = pipes.flows(state.dh), leak.k
+    # fsum rounds once, so its sum depends on no order; sum() accumulates
+    # differently from Python 3.12 on
+    through = math.fsum(flows[:k - 1] + flows[k:])
     # by position: keywords cost more, and this runs once per state
     return DataPoint(state.h_in, state.h_out, state.q_in_k + through, state.q_out_k + through)
 

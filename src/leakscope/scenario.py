@@ -141,7 +141,9 @@ def read_options(values: dict, path, problems: list[str]) -> dict:
 
 
 def _range(obj: dict, path: str, problems: list[str]) -> tuple[float, ...]:
-    """`steps` evenly spaced values from `from` to `to` inclusive."""
+    """`steps` evenly spaced values from `from` to `to` inclusive; a range
+    whose spacing overflows, as `to - from` does past the float range, is
+    recorded as a problem."""
     _known(obj, path, problems, ("from", "to", "steps"))
     lo = _number(obj.get("from"), f"{path}.from", problems)
     hi = _number(obj.get("to"), f"{path}.to", problems)
@@ -149,7 +151,13 @@ def _range(obj: dict, path: str, problems: list[str]) -> tuple[float, ...]:
     if None in (lo, hi, steps):
         return ()
     last = int(steps) - 1
-    return tuple(lo + (hi - lo) * i / last for i in range(last + 1)) if last else (lo,)
+    values = tuple(lo + (hi - lo) * i / last for i in range(last + 1)) if last else (lo,)
+    if not all(map(math.isfinite, values)):
+        problems.append(
+            f"{path}: spacing {last + 1} values from {lo!r} to {hi!r} overflows the float range"
+        )
+        return ()
+    return values
 
 
 def _boundary(obj, problems: list[str]) -> list[tuple[float, float]]:

@@ -132,6 +132,34 @@ class TestScenarioParsing:
         assert run("simulate", bad, tmp_path / "out") == 2
         assert f"error: {path}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "confusion"])
+    @pytest.mark.parametrize(
+        "key,lo,hi,path",
+        [
+            ("boundary", -1.7e308, 1.7e308, "boundary.h_in"),
+            ("dh_grid", -1.7e308, 1.7e308, "analysis.dh_grid"),
+            ("dh_grid", 0.0, 1.7e308, "analysis.dh_grid"),  # to - from fits, 2 (to - from) not
+        ],
+        ids=["boundary-span", "dh_grid-span", "dh_grid-spacing"],
+    )
+    def test_range_spaced_past_the_float_range_named(
+        self, tmp_path, capsys, command, key, lo, hi, path
+    ):
+        # once loaded as nan, inf, inf: (to - from) overflows to inf
+        doc = json.loads(bundled_scenario("example2").read_text())
+        spec = {"from": lo, "to": hi, "steps": 3}
+        if key == "boundary":
+            doc["boundary"] = {"h_in": spec, "h_out": 1.0}
+        else:
+            doc["analysis"]["dh_grid"] = spec
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(command, bad, tmp_path / "out") == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert err_lines == [
+            f"error: {path}: spacing 3 values from {lo!r} to {hi!r} overflows the float range"
+        ]
+
     @pytest.mark.parametrize(
         "text,message",
         [

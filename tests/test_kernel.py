@@ -2,9 +2,11 @@
 through all other pipes must agree exactly with its one-pipe definition."""
 
 import math
+import pickle
 import random
 import struct
 import sys
+import threading
 import warnings
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import simulate_data
 
+from leakscope import headloss
 from leakscope import (
     FixedDemand,
     LeakSpec,
@@ -135,6 +138,104 @@ def test_one_pipe_and_all_pipe_admittances_agree_bitwise(pipe_list, dh, data):
     assert struct.pack("<d", one) == struct.pack("<d", every[j - 1])
 
 
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(laws, min_size=1, max_size=30),
+    st.lists(st.one_of(head_losses, st.just(math.nan)), min_size=1, max_size=8),
+)
+def test_memo_results_match_a_cold_copy_bitwise(pipe_list, dhs):
+    pipes = PipeSet(tuple(pipe_list))
+    first = [(pipes.flows(dh), pipes.admittances_excluding(dh)) for dh in dhs]
+    again = [(pipes.flows(dh), pipes.admittances_excluding(dh)) for dh in dhs]
+    cold = PipeSet(pipes.pipes)
+    for dh, (flows, sums), (flows_again, sums_again) in zip(dhs, first, again):
+        if not math.isnan(dh):  # another NaN is another key, so a NaN may miss
+            assert flows_again is flows and sums_again is sums  # read from the memo
+        definition = [p.invert(dh) for p in pipe_list]
+        for got in (flows, cold.flows(dh)):
+            assert _bits(got) == _bits(definition)
+        for got in (sums, cold.admittances_excluding(dh)):
+            assert _bits(got) == _bits(headloss._all_but_one(definition))
+
+
+def test_signed_zero_head_losses_keep_their_own_flows():
+    pipes = PipeSet((SignedQuadratic(0.1), QuadraticPlusLinear(2.0), PowerLaw(0.3, 1.85)))
+    assert [math.copysign(1.0, q) for q in pipes.flows(0.0)] == [1.0] * 3
+    assert [math.copysign(1.0, q) for q in pipes.flows(-0.0)] == [-1.0] * 3
+    assert [math.copysign(1.0, q) for q in pipes.flows(0.0)] == [1.0] * 3
+
+
+def test_equal_but_distinct_sets_alternate():
+    laws_a = (SignedQuadratic(0.1), Linear(0.2))
+    a, b = PipeSet(laws_a), PipeSet(laws_a)
+    other = PipeSet((Linear(5.0), Linear(7.0)))
+    assert a == b and a is not b
+    record = pickle.dumps(a), hash(a), repr(a), a.__slots__
+    for dh in (1.0, 2.0, 1.0, -3.0, 2.0):
+        for pipes in (a, b, other, a):
+            assert pipes.flows(dh) == tuple(p.invert(dh) for p in pipes.pipes)
+            assert headloss._memo[0] is pipes  # the memo keeps the set it answers for
+    assert (pickle.dumps(a), hash(a), repr(a), a.__slots__) == record and a == b
+    # the memo keeps the set it answers for alive, so no set built later takes its id
+    PipeSet(laws_a).flows(4.0)
+    assert other.flows(4.0) == (0.8, 4.0 / 7.0)
+
+
+def test_memo_is_capped_by_the_floats_it_holds(monkeypatch):
+    monkeypatch.setattr(headloss, "_MEMO_FLOATS", 10)
+    pipes = PipeSet((Linear(1.0), SignedQuadratic(2.0)))  # 4 floats a head loss
+    held = []
+    for dh in (1.0, 2.0, 3.0, 4.0, 5.0, 1.0):
+        assert pipes.flows(dh) == tuple(p.invert(dh) for p in pipes.pipes)
+        assert 4 * len(headloss._memo[1]) <= 10
+        held.append(len(headloss._memo[1]))
+    assert held == [1, 2, 1, 2, 1, 2]  # cleared when the next head loss would not fit
+    wide = PipeSet(tuple(Linear(float(j)) for j in range(1, 7)))  # 12 floats a head loss
+    assert wide.admittances_excluding(1.0) == headloss._all_but_one(
+        [p.invert(1.0) for p in wide.pipes]
+    )
+    assert headloss._memo[1] == {}
+
+
+def test_threads_asking_different_sets_get_their_own_flows():
+    # more threads than cores, switched often: no set may read another's entries
+    sets = [PipeSet((Linear(t + 1.0), SignedQuadratic(0.1 * (t + 1)))) for t in range(6)]
+    head_losses = [0.5 * i for i in range(1, 9)]
+    wrong = []
+
+    def ask(pipes):
+        for _ in range(200):
+            for dh in head_losses:
+                if pipes.flows(dh) != tuple(p.invert(dh) for p in pipes.pipes):
+                    wrong.append((pipes, dh))
+
+    threads = [threading.Thread(target=ask, args=(pipes,)) for pipes in sets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_an_inversion_that_raises_leaves_no_entry():
+    pipes = PipeSet((Linear(1.0), PowerLaw(1.0, 0.1)))  # 1e300 ** 10 overflows
+    pipes.flows(1.0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            pipes.flows(1e300)
+        assert 1e300 not in headloss._memo[1] and 1.0 in headloss._memo[1]
+
+
 def _assert_slopes_are_all_but_one_sums(pipes, dh):
     """Entry j of the slope tuple is within (n - 1) eps of the exact sum of
     the other pipes' admittance slopes."""
@@ -184,17 +285,40 @@ def count_inversions(monkeypatch):
 
 def test_all_candidates_inverts_each_pipe_once(count_inversions):
     pipes, _, data = mixed_network(40)
+    cold = PipeSet(pipes.pipes)  # simulate_data's measure filled the memo for pipes
     count_inversions[0] = 0
-    all_candidates(pipes, data[0])
-    assert count_inversions[0] == pipes.n
+    all_candidates(cold, data[0])
+    assert count_inversions[0] == cold.n
+    all_candidates(cold, data[0])
+    assert count_inversions[0] == cold.n  # a repeated call inverts nothing
 
 
 def test_leak_fit_inverts_each_pipe_once_per_point(count_inversions):
     pipes, _, data = mixed_network(40)
     candidates = {c.j: c.x_j for c in all_candidates(pipes, data[0])}
+    cold = PipeSet(pipes.pipes)
     count_inversions[0] = 0
+    isolate_by_leak_fit(cold, data, candidates)
+    assert count_inversions[0] == cold.n * len(data)
+    isolate_by_leak_fit(cold, data, candidates)
+    assert count_inversions[0] == cold.n * len(data)
+
+
+def test_measure_localize_and_fit_invert_each_pipe_once_per_head_loss(count_inversions):
+    pipes, leak, _ = mixed_network(40)
+    pipes = PipeSet(pipes.pipes)
+    # the last two pairs repeat the first head loss, one of them in another state
+    boundaries = [(3.0, 1.0), (4.5, 1.0), (6.0, 1.0), (7.5, 1.0), (3.0, 1.0), (4.0, 2.0)]
+    # the solve inverts the leaking pipe's law alone, as often as its Newton steps
+    states = [solve_leaky_state(pipes, leak, h_in, h_out) for h_in, h_out in boundaries]
+    count_inversions[0] = 0
+    data = [measure(state, pipes, leak) for state in states]
+    candidates = {c.j: c.x_j for c in all_candidates(pipes, data[0])}
+    for d in data:
+        all_candidates(pipes, d)
     isolate_by_leak_fit(pipes, data, candidates)
-    assert count_inversions[0] == pipes.n * len(data)
+    assert len({d.dh for d in data}) == 4
+    assert count_inversions[0] == pipes.n * 4
 
 
 def test_confusion_curve_forms_admittances_once_per_grid_point(monkeypatch):
@@ -218,6 +342,10 @@ def test_first_order_partials_invert_each_pipe_once_per_pass(count_inversions):
     x_2 = all_candidates(pipes, data[0])[1].x_j
     count_inversions[0] = 0
     residual_differential(pipes, 2, x_2, leak.k, leak.x, data[0])
+    assert count_inversions[0] == pipes.n  # the slopes; the flows come from the memo
+    cold = PipeSet(pipes.pipes)
+    count_inversions[0] = 0
+    residual_differential(cold, 2, x_2, leak.k, leak.x, data[0])
     assert count_inversions[0] == 2 * pipes.n  # the flows, then the slopes
 
     proportional = PipeSet(tuple(QuadraticPlusLinear(0.5 * j) for j in range(1, 7)))
@@ -225,4 +353,7 @@ def test_first_order_partials_invert_each_pipe_once_per_pass(count_inversions):
     d0 = measure(solve_leaky_state(proportional, leak, 2.0, 2.0), proportional, leak)
     count_inversions[0] = 0
     zero_dh_sensitivity(proportional, 2, 1, 0.4, d0)
+    assert count_inversions[0] == 0  # measure filled the memo at dh = 0
+    cold = PipeSet(proportional.pipes)
+    zero_dh_sensitivity(cold, 2, 1, 0.4, d0)
     assert count_inversions[0] == proportional.n
