@@ -217,12 +217,12 @@ class PipeSet(Value):
 
     def admittance_derivatives_excluding(self, dh: float) -> tuple[float, ...]:
         """Slope in dh of every entry of `admittances_excluding(dh)`: each pipe
-        adds 1 / U'(U^-1(dh)), or 0 where U' is unbounded. A law with zero
-        slope at dh, pipe j's own included, raises ZeroDivisionError."""
+        adds 1 / U'(q) at its flow q in `flows(dh)`, or 0 where U' is unbounded.
+        A law with zero slope at dh, pipe j's own included, raises ZeroDivisionError."""
         slopes = []
-        for p in self._pipes:
+        for p, q in zip(self._pipes, self.flows(dh)):
             try:
-                slope = p.derivative(p.invert(dh))
+                slope = p.derivative(q)
             except UnboundedDerivativeError:
                 slope = math.inf  # infinite law slope, zero admittance slope
             if slope == 0.0:

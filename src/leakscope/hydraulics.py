@@ -66,8 +66,8 @@ class LeakSpec(Value):
     __slots__ = ("_k", "_x", "_leak")
 
     def __init__(self, k: int, x: float, leak: LeakFn):
-        if k < 1:
-            raise ValueError(f"pipe index k must be >= 1, got {k}")
+        if not (isinstance(k, int) and k >= 1):  # a float k would fail to index the pipes
+            raise ValueError(f"pipe index k must be an int >= 1, got {k!r}")
         if not 0.0 < x < 1.0:
             raise ValueError(f"relative position x must be in (0,1), got {x}")
         self._k, self._x, self._leak = k, x, leak
@@ -133,7 +133,7 @@ def solve_leaky_state(
         return q_in_k - q_out_k - g, -slope - (beta * g / (h - h_y) if g else 0.0)
 
     try:
-        h_leak = newton(mismatch, h_in - x * (h_in - h_out), xtol=1e-13)
+        h_leak = newton(mismatch, h_in - x * (h_in - h_out))
     except ValueError as exc:  # no sign change, or a flow beyond the float range
         raise NoRootError(f"no leak head balances the boundary heads: {exc}") from exc
 

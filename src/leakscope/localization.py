@@ -24,10 +24,10 @@ class NoLeakError(ValueError):
 class LeakCandidate(Value):
     """The unique position in pipe j consistent with one data point."""
 
-    __slots__ = ("_j", "_x_j", "_residual_check")
+    __slots__ = ("_j", "_x_j")
 
-    def __init__(self, j: int, x_j: float, residual_check: float):
-        self._j, self._x_j, self._residual_check = j, x_j, residual_check
+    def __init__(self, j: int, x_j: float):
+        self._j, self._x_j = j, x_j
 
 
 class PartialDataPoint(Value):
@@ -69,8 +69,7 @@ def residual(pipes: PipeSet, j: int, x_j: float, d: DataPoint) -> float:
 def _candidate(
     U_j: HeadLossFn, j: int, G: float, dh: float, q_in: float, q_out: float
 ) -> LeakCandidate:
-    """The pipe-j candidate from dh, q_in and q_out, given the flow G through all
-    other pipes; its residual check reuses the two head losses that gave x_j."""
+    """The pipe-j candidate from dh, q_in and q_out, given the flow G through the other pipes."""
     if q_in == q_out:
         raise NoLeakError("q_in equals q_out; no leak position can be inferred")
     head_in = U_j.evaluate(q_in - G)
@@ -88,7 +87,7 @@ def _candidate(
             stacklevel=3,
         )
     # by position: keywords cost more, and this runs once per pipe and state
-    return LeakCandidate(j, x_j, dh - x_j * head_in - (1.0 - x_j) * head_out)
+    return LeakCandidate(j, x_j)
 
 
 def _require_outlet(j: int, x_j: float) -> None:
@@ -127,7 +126,7 @@ def candidate_position(pipes: PipeSet, j: int, d: DataPoint) -> float:
 
 
 def all_candidates(pipes: PipeSet, d: DataPoint) -> list[LeakCandidate]:
-    """One leak candidate per pipe, with its residual check."""
+    """One leak candidate per pipe, in pipe order."""
     dh = d.dh
     G = pipes.admittances_excluding(dh)
     readings = repeat(dh), repeat(d.q_in), repeat(d.q_out)  # read once, not per pipe

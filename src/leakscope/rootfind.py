@@ -8,6 +8,7 @@ from collections.abc import Callable
 
 EPS = sys.float_info.epsilon
 MAX_ITER = 200  # steps before brent or newton returns its current estimate
+XTOL = 1e-13  # newton's absolute tolerance, and brent's default one
 
 
 class NoRootError(ValueError):
@@ -46,7 +47,7 @@ def brent(
     b: float,
     fa: float,
     fb: float,
-    xtol: float = 1e-13,
+    xtol: float = XTOL,
 ) -> float:
     """Brent's zeroin on [a, b] given fa = f(a), fb = f(b), fa*fb <= 0.
 
@@ -100,18 +101,18 @@ def brent(
     return b
 
 
-def newton(fdf: Callable[[float], tuple[float, float]], x: float, xtol: float = 1e-13) -> float:
+def newton(fdf: Callable[[float], tuple[float, float]], x: float) -> float:
     """Root of a strictly monotone f by Newton steps from x, fdf(x) = (f, f'). Until points on
     both sides bound the root a step is at most 16 (|x| + 1); then one leaving the bounds or over
     half the last step bisects them (rtsafe, Numerical Recipes 9.4). Brent takes over where f' is
-    0 or not finite. Stops at bounds 2 tol apart, tol = 2 eps |x| + xtol/2, at a step under tol and
+    0 or not finite. Stops at bounds 2 tol apart, tol = 2 eps |x| + XTOL/2, at a step under tol and
     the last; or when k = step/(last Newton step)^2 repeats, step < 1% of it, k step^2 <= tol."""
     lo, hi, last, newt, k = -math.inf, math.inf, EPS * abs(x), math.nan, math.nan
     for _ in range(MAX_ITER):
         fx, dfx = fdf(x)
         if not 0.0 < abs(dfx) < math.inf:
-            return brent(f := lambda t: fdf(t)[0], *expand_bracket(f, x, x), xtol=xtol)
-        dx, tol, k0, k = -fx / dfx, 2.0 * EPS * abs(x) + 0.5 * xtol, k, abs(fx / dfx / newt / newt)
+            return brent(f := lambda t: fdf(t)[0], *expand_bracket(f, x, x))
+        dx, tol, k0, k = -fx / dfx, 2.0 * EPS * abs(x) + 0.5 * XTOL, k, abs(fx / dfx / newt / newt)
         converged = abs(dx) <= min(tol, abs(last)) or (  # k |newt| = |dx / newt|
             k0 <= 2 * k <= 4 * k0 and k * abs(newt) <= 0.01 and k * dx * dx <= tol)
         lo, hi = (x, hi) if dx > 0.0 else (lo, x)

@@ -691,7 +691,7 @@ def test_candidate_at_position_one_is_an_error_row_or_line(
     from leakscope import localization
 
     def at_position_one(pipes, d):
-        return [localization.LeakCandidate(j, 1.0, 0.0) for j in range(1, pipes.n + 1)]
+        return [localization.LeakCandidate(j, 1.0) for j in range(1, pipes.n + 1)]
 
     monkeypatch.setattr(localization, "all_candidates", at_position_one)
     errors = assert_error_rows_or_line(

@@ -47,7 +47,7 @@ def test_all_candidates_one_per_pipe(example2):
     assert [c.j for c in cands] == [1, 2, 3]
     for c in cands:
         assert 0.0 < c.x_j < 1.0
-        assert abs(c.residual_check) <= 1e-9
+        assert abs(residual(pipes, c.j, c.x_j, d)) <= 1e-9
 
 
 def test_single_pipe_candidate():

@@ -74,8 +74,8 @@ VALUES = {
         "accepted=True, samples=((1.0, 50.0),))",
     ),
     "LeakCandidate": (
-        lambda: LeakCandidate(1, 0.3, -1e-17),
-        "LeakCandidate(j=1, x_j=0.3, residual_check=-1e-17)",
+        lambda: LeakCandidate(1, 0.3),
+        "LeakCandidate(j=1, x_j=0.3)",
     ),
     "PartialDataPoint": (
         lambda: PartialDataPoint(h_in=3.0, h_out=1.0, q_in=0.5),
