@@ -37,7 +37,7 @@ class Value:
     def __init_subclass__(cls):
         super().__init_subclass__()
         slots = vars(cls).get("__slots__")
-        if slots is None:  # a subclass without slots keeps its base's fields
+        if not slots:  # a subclass without slots, or with empty ones, keeps its base's fields
             return
         cls._fields = tuple(slot[1:] for slot in slots)  # the public names
         for slot, name in zip(slots, cls._fields):

@@ -114,7 +114,9 @@ def solve_leaky_state(
     f(h) = U_k^-1((h_in - h)/x) - U_k^-1((h - h_out)/(1-x)) - g(h)
     is strictly decreasing, so the root is unique. Newton from the zero-leak head
     h_in - x dh takes f' = -1/(x U_k'(q_in)) - 1/((1-x) U_k'(q_out)) - g'(h) from
-    f's values; Brent's zeroin takes over where a section head is 0, as at dh = 0.
+    f's values. At dh = 0 both section heads vanish there, so it starts from the
+    linear-split head h_in - x U_k((1-x) g(h_in)), exact for a linear law and a
+    fixed demand.
     """
     if leak.k > pipes.n:
         raise ValueError(f"leaking pipe {leak.k} out of range 1..{pipes.n}")
@@ -133,7 +135,7 @@ def solve_leaky_state(
         return q_in_k - q_out_k - g, -slope - (beta * g / (h - h_y) if g else 0.0)
 
     try:
-        h_leak = newton(mismatch, h_in - x * (h_in - h_out))
+        h_leak = newton(mismatch, h_in - x * (h_in - h_out or U_k.evaluate(x1 * leak_flow(h_in))))
     except ValueError as exc:  # no sign change, or a flow beyond the float range
         raise NoRootError(f"no leak head balances the boundary heads: {exc}") from exc
 

@@ -13,7 +13,7 @@ from itertools import count, repeat
 
 from .headloss import HeadLossFn, PipeSet, Value
 from .hydraulics import DataPoint
-from .rootfind import brent, expand_bracket
+from .rootfind import newton
 
 
 class NoLeakError(ValueError):
@@ -152,8 +152,9 @@ def complete_data_point(
 ) -> DataPoint:
     """Fill in the one missing sensor so the pipe-j residual vanishes.
 
-    Flows are closed-form; heads need a bracketed root-find on the strictly
-    monotone residual.
+    Flows are closed-form. A head is the root of the residual, which rises with
+    dh at the slope 1 + G'(dh) (x_j U_j'(a) + (1 - x_j) U_j'(b)) for the section
+    flows a and b, found by Newton on that exact slope.
     """
     if not 0.0 < x_j < 1.0:
         raise ValueError(f"x_j must be in (0,1), got {x_j}")
@@ -165,9 +166,19 @@ def complete_data_point(
         # the same residual read from the outlet end: x_j -> 1 - x_j, q_in <-> q_out
         values["q_in"] = estimate_outflow(pipes, j, 1.0 - x_j, p.h_in - p.h_out, p.q_out)
     else:
-        def f(h: float) -> float:
-            return residual(pipes, j, x_j, DataPoint(**{**values, missing: h}))
+        U_j, sign = pipes.pipe(j), -1.0 if missing == "h_in" else 1.0
 
-        seed = p.h_out if missing == "h_in" else p.h_in
-        values[missing] = brent(f, *expand_bracket(f, seed - 1.0, seed + 1.0), xtol=1e-11)
+        def fdf(h: float) -> tuple[float, float]:
+            # the residual with the sign that makes it fall as the head rises
+            d = DataPoint(**{**values, missing: h})
+            G = pipes.admittance_excluding(j, d.dh)
+            try:
+                Gp = pipes.admittance_derivatives_excluding(d.dh)[j - 1]
+                slope = 1.0 + Gp * (
+                    x_j * U_j.derivative(d.q_in - G) + (1.0 - x_j) * U_j.derivative(d.q_out - G))
+            except (ValueError, ZeroDivisionError):  # unbounded, or beyond the float range
+                slope = math.inf
+            return sign * residual(pipes, j, x_j, d), -slope
+
+        values[missing] = newton(fdf, p.h_out if missing == "h_in" else p.h_in)
     return DataPoint(**values)

@@ -1,4 +1,4 @@
-"""Root finding for monotone scalar equations: safeguarded Newton, Brent's zeroin."""
+"""Root finding: a safeguarded Newton for strictly decreasing f, and Brent's zeroin."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ from collections.abc import Callable
 
 EPS = sys.float_info.epsilon
 MAX_ITER = 200  # steps before brent or newton returns its current estimate
-XTOL = 1e-13  # newton's absolute tolerance, and brent's default one
+MAX_EXPAND = 30  # doublings before expand_bracket gives up
+XTOL = 1e-13  # the absolute tolerance of newton and brent
 
 
 class NoRootError(ValueError):
@@ -20,7 +21,6 @@ def expand_bracket(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    max_expand: int = 60,
 ) -> tuple[float, float, float, float]:
     """Grow [lo, hi] outward by doubling steps until f changes sign.
 
@@ -28,7 +28,7 @@ def expand_bracket(
     """
     flo, fhi = f(lo), f(hi)
     step = max(hi - lo, 1.0)
-    for _ in range(max_expand):
+    for _ in range(MAX_EXPAND):
         if flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
             return lo, hi, flo, fhi
         # move whichever end has the same sign as both; try both directions
@@ -38,23 +38,16 @@ def expand_bracket(
         step *= 2.0
     if flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
         return lo, hi, flo, fhi
-    raise NoRootError(f"no sign change in [{lo}, {hi}] after {max_expand} expansions")
+    raise NoRootError(f"no sign change in [{lo}, {hi}] after {MAX_EXPAND} expansions")
 
 
-def brent(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    fa: float,
-    fb: float,
-    xtol: float = XTOL,
-) -> float:
+def brent(f: Callable[[float], float], a: float, b: float, fa: float, fb: float) -> float:
     """Brent's zeroin on [a, b] given fa = f(a), fb = f(b), fa*fb <= 0.
 
     Inverse quadratic interpolation or a secant step where it stays well
     inside the bracket, bisection otherwise (Brent 1973, ch. 4). Stops when
-    the bracket's half-width is at most 2 eps |b| + xtol/2, so the root lies
-    within xtol + 4 eps |b| of the returned b.
+    the bracket's half-width is at most 2 eps |b| + XTOL/2, so the root lies
+    within XTOL + 4 eps |b| of the returned b.
     """
     if fa == 0.0:
         return a
@@ -69,7 +62,7 @@ def brent(
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * EPS * abs(b) + 0.5 * xtol
+        tol = 2.0 * EPS * abs(b) + 0.5 * XTOL
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b
@@ -102,24 +95,27 @@ def brent(
 
 
 def newton(fdf: Callable[[float], tuple[float, float]], x: float) -> float:
-    """Root of a strictly monotone f by Newton steps from x, fdf(x) = (f, f'). Until points on
+    """Root of a strictly decreasing f by Newton steps from x, fdf(x) = (f, f'). Until points on
     both sides bound the root a step is at most 16 (|x| + 1); then one leaving the bounds or over
-    half the last step bisects them (rtsafe, Numerical Recipes 9.4). Brent takes over where f' is
-    0 or not finite. Stops at bounds 2 tol apart, tol = 2 eps |x| + XTOL/2, at a step under tol and
-    the last; or when k = step/(last Newton step)^2 repeats, step < 1% of it, k step^2 <= tol."""
-    lo, hi, last, newt, k = -math.inf, math.inf, EPS * abs(x), math.nan, math.nan
+    half the last step bisects them (rtsafe, Numerical Recipes 9.4). Where f' is 0 or not finite
+    the sign of f picks the side. Stops at f = 0, at bounds 2 tol apart, tol = 2 eps |x| + XTOL/2,
+    at a step under tol and the last after a Newton step that halved |f|; or when k = step/(last
+    Newton step)^2 repeats, step < 1% of it, k step^2 <= tol."""
+    lo, hi, last, newt, k, f0 = -math.inf, math.inf, EPS * abs(x), math.nan, math.nan, math.inf
     for _ in range(MAX_ITER):
         fx, dfx = fdf(x)
-        if not 0.0 < abs(dfx) < math.inf:
-            return brent(f := lambda t: fdf(t)[0], *expand_bracket(f, x, x))
-        dx, tol, k0, k = -fx / dfx, 2.0 * EPS * abs(x) + 0.5 * XTOL, k, abs(fx / dfx / newt / newt)
-        converged = abs(dx) <= min(tol, abs(last)) or (  # k |newt| = |dx / newt|
+        dx = -fx / dfx if 0.0 < abs(dfx) < math.inf else math.copysign(math.inf, fx) if fx else 0.0
+        tol, k0, k = 2.0 * EPS * abs(x) + 0.5 * XTOL, k, abs(dx / newt / newt)
+        # a step that left |f| over half its size, or bisected (f0 is NaN), may end where a steep
+        # slope, not a near root, makes the next step short; k |newt| = |dx / newt|
+        converged = not fx or abs(fx) <= 0.5 * f0 and abs(dx) <= min(tol, abs(last)) or (
             k0 <= 2 * k <= 4 * k0 and k * abs(newt) <= 0.01 and k * dx * dx <= tol)
         lo, hi = (x, hi) if dx > 0.0 else (lo, x)
         if converged or hi - lo <= 2.0 * tol:
             return min(max(x + dx, lo), hi)
         dx = max(-16 * abs(x) - 16, min(dx, 16 * abs(x) + 16)) if hi - lo == math.inf else dx
         is_newton = hi - lo == math.inf or lo < x + dx < hi and abs(dx) <= 0.5 * abs(last)
-        last, newt = (dx, dx) if is_newton else (0.5 * (lo + hi) - x, math.nan)
+        last, newt, f0 = (dx, dx, abs(fx)) if is_newton else (
+            0.5 * (lo + hi) - x, math.nan, math.nan)
         x += last
     return x

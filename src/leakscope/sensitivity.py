@@ -169,8 +169,7 @@ def _solve_point(fdf, seed: float) -> tuple[float, float, bool]:
 
         width = max(1.0, abs(seed))
         try:
-            bracket = expand_bracket(f, seed - width, seed + width, max_expand=30)
-            q = brent(f, *bracket, xtol=1e-13)
+            q = brent(f, *expand_bracket(f, seed - width, seed + width))
             fq = f(q)
         except NoRootError:
             pass

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from functools import reduce
 from operator import add
@@ -13,6 +14,7 @@ from leakscope import (
     PipeSet,
     PowerLaw,
     PowerLawLeak,
+    QuadraticPlusLinear,
     SignedQuadratic,
     SqrtLeak,
     head_profile,
@@ -185,6 +187,33 @@ def test_newton_solve_evaluation_counts(example1, example2, monkeypatch):
     grid = [(h + dh, h) for h in (1.0, 3.0, 10.0, 100.0) for dh in linspace(-8.0, 8.0, 65)]
     counts = evaluations_per_solve(networks, grid, calls)
     assert sum(counts) / len(counts) <= 5.5 and max(counts) <= 20
+
+
+def test_zero_dh_solves_take_few_evaluations(monkeypatch):
+    # at dh = 0 both section heads vanish at the zero-leak head, so the solve
+    # starts from the linear-split head; on these 400 drawn n = 4 networks
+    # Brent's zeroin, which took over there before, made 12.2 calls on average
+    rng = random.Random(3)
+    makers = [
+        lambda: SignedQuadratic(rng.uniform(0.02, 0.3)),
+        lambda: QuadraticPlusLinear(rng.uniform(0.5, 3.0)),
+        lambda: PowerLaw(rng.uniform(0.05, 0.5), 1.85),
+        lambda: Linear(rng.uniform(0.05, 0.5)),
+    ]
+    cases = []
+    for _ in range(400):
+        pipes = PipeSet(tuple(rng.choice(makers)() for _ in range(4)))
+        leak = LeakSpec(
+            rng.randint(1, 4), rng.uniform(0.05, 0.95), PowerLawLeak(rng.uniform(0.1, 2.0), 0.5)
+        )
+        cases.append((pipes, leak, rng.uniform(1.0, 10.0)))
+    calls = count_leak_law_calls(monkeypatch)
+    counts = []
+    for pipes, leak, h in cases:
+        before = len(calls)
+        solve_leaky_state(pipes, leak, h, h)  # the start's own call counts too
+        counts.append(len(calls) - before)
+    assert sum(counts) / len(counts) <= 5 and max(counts) <= 8
 
 
 def test_monotone_leak_response(example2):

@@ -1,5 +1,12 @@
-import pytest
+import itertools
+import math
+import sys
+from decimal import Decimal
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import oracle
 from conftest import simulate_data
 
 from leakscope import (
@@ -10,6 +17,8 @@ from leakscope import (
     NoLeakError,
     PartialDataPoint,
     PipeSet,
+    PowerLaw,
+    QuadraticPlusLinear,
     SignedQuadratic,
     SqrtLeak,
     all_candidates,
@@ -21,6 +30,9 @@ from leakscope import (
     residual_bar,
     solve_leaky_state,
 )
+from leakscope.rootfind import XTOL
+
+EPS = sys.float_info.epsilon
 
 
 def test_example2_candidates_paper_values(example2):
@@ -213,6 +225,106 @@ class TestCompleteDataPoint:
             PartialDataPoint(1.0, 2.0, 3.0, 4.0)
         with pytest.raises(ValueError):
             PartialDataPoint(None, None, 3.0, 4.0)
+
+
+# every law family: a power law with gamma < 1, = 1 and > 1, and the
+# quadratic-plus-linear law
+LAWS = st.one_of(
+    st.builds(PowerLaw, st.floats(1e-2, 1e2), st.floats(0.3, 0.95)),
+    st.builds(PowerLaw, st.floats(1e-2, 1e2), st.sampled_from([0.5, 1.0, 1.85, 2.0])),
+    st.builds(PowerLaw, st.floats(1e-2, 1e2), st.floats(1.05, 3.0)),
+    st.builds(QuadraticPlusLinear, st.floats(1e-2, 1e2)),
+)
+
+
+def residual_and_rounding(pipes, j, x_j, p):
+    """The pipe-j residual at the missing head h, and EPS times the sizes of its
+    terms, with the rounding of the section flows carried by the law's slope."""
+    U = pipes.pipe(j)
+
+    def f(h):
+        d = DataPoint(**{**p._asdict(), p.missing: h})
+        G = pipes.admittance_excluding(j, d.dh)
+        try:
+            slopes = x_j * U.derivative(d.q_in - G) + (1 - x_j) * U.derivative(d.q_out - G)
+        except ValueError:  # unbounded at a zero section flow
+            slopes = math.inf
+        heads = x_j * abs(U.evaluate(d.q_in - G)) + (1 - x_j) * abs(U.evaluate(d.q_out - G))
+        flows = abs(d.q_in) + abs(d.q_out) + pipes.n * abs(G)
+        carried = slopes * flows if flows else 0.0
+        return residual(pipes, j, x_j, d), EPS * (abs(d.dh) + heads + carried)
+
+    return f
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    laws=st.lists(LAWS, min_size=1, max_size=4),
+    k=st.integers(1, 4),
+    j=st.integers(1, 4),
+    x=st.floats(0.05, 0.95),
+    demand=st.floats(0.0, 10.0),
+    h_out=st.floats(-100.0, 100.0),
+    dh=st.just(0.0) | st.floats(-1e-6, 1e-6) | st.floats(-10.0, 10.0),
+    x_j=st.floats(0.01, 0.99),
+    missing=st.sampled_from(["h_in", "h_out"]),
+)
+# readings at dh = 0, where the other pipe's admittance has no finite slope
+@example(
+    laws=[SignedQuadratic(1.0), SignedQuadratic(2.0)], k=1, j=2, x=0.5, demand=1.0,
+    h_out=1.0, dh=0.0, x_j=0.3, missing="h_in",
+)
+# a step onto a zero section flow of a gamma < 1 law, where the slope is so
+# steep that the next step's shortness once passed for convergence
+@example(
+    laws=[PowerLaw(0.5, 0.5), PowerLaw(0.5, 0.5)], k=1, j=1, x=0.5, demand=0.0,
+    h_out=0.0, dh=5.960464477539063e-08, x_j=0.5, missing="h_in",
+)
+def test_completed_head_brackets_the_residual_root(
+    laws, k, j, x, demand, h_out, dh, x_j, missing
+):
+    pipes = PipeSet(tuple(laws))
+    k, j = 1 + (k - 1) % pipes.n, 1 + (j - 1) % pipes.n
+    d = simulate_data(pipes, LeakSpec(k, x, FixedDemand(demand)), [(h_out + dh, h_out)])[0]
+    p = PartialDataPoint(**{**d._asdict(), missing: None})
+    h = getattr(complete_data_point(pipes, j, x_j, p), missing)
+    # the residual rises with dh: with h_in, and against h_out
+    f, sign = residual_and_rounding(pipes, j, x_j, p), 1.0 if missing == "h_in" else -1.0
+    # the residual changes sign within XTOL + 4 eps |h| of the result, up to
+    # its rounding, the contract of the forward solve
+    delta = XTOL + 4 * EPS * abs(h)
+    (below, r_below), (above, r_above) = f(h - delta), f(h + delta)
+    assert sign * below <= 4 * r_below and sign * above >= -4 * r_above
+
+
+@pytest.mark.parametrize("missing", ["h_in", "h_out"])
+@pytest.mark.parametrize("dh", [0.0, 1e-9, 4.0])
+def test_completed_head_is_within_tolerance_of_the_oracle(example2, missing, dh):
+    pipes, leak = example2
+    d = simulate_data(pipes, leak, [(1.0 + dh, 1.0)])[0]
+    p = PartialDataPoint(**{**d._asdict(), missing: None})
+    for j, x_j in ((1, 0.65), (2, 0.3), (3, 0.9)):
+        h = getattr(complete_data_point(pipes, j, x_j, p), missing)
+        exact = oracle.completed_head(pipes, j, x_j, p)
+        assert abs(Decimal(h) - exact) <= XTOL + 4 * EPS * abs(h)
+
+
+def test_completed_head_evaluation_counts(example2, monkeypatch):
+    # law evaluations per missing head on example2's operating range, two per
+    # residual; Brent's zeroin on a grown bracket made 21.2 on average here
+    pipes, leak = example2
+    calls = []
+    evaluate = QuadraticPlusLinear.evaluate
+    monkeypatch.setattr(
+        QuadraticPlusLinear, "evaluate", lambda self, q: calls.append(q) or evaluate(self, q)
+    )
+    counts = []
+    for d in simulate_data(pipes, leak, [(1.0 + dh, 1.0) for dh in (0.5, 2.0, 4.0, 6.0)]):
+        for j, x_j, missing in itertools.product((1, 2, 3), (0.25, 0.55, 0.8), ("h_in", "h_out")):
+            before = len(calls)
+            complete_data_point(pipes, j, x_j, PartialDataPoint(**{**d._asdict(), missing: None}))
+            counts.append(len(calls) - before)
+    assert sum(counts) / len(counts) <= 12 and max(counts) <= 16
 
 
 def test_backflow_state_localizes():

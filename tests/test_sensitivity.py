@@ -2,10 +2,12 @@ import math
 import statistics
 import sys
 import warnings
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from conftest import simulate_data
 from test_kernel import SIZES, mixed_network, short_grid
 
@@ -453,18 +455,27 @@ FIRST_ORDER_BITS = {
     "sublinear 1.0-5.0 differential 2": ("-0x1.7506ea51176d8p-4", "0x1.a4cfe954e4900p+1"),
     "sublinear 1.0-5.0 sections 3": ("0x1.a7a9154cdbe84p-7", "0x1.38aa93e1a2b2dp-6"),
     "sublinear 1.0-5.0 differential 3": ("-0x1.58c05d324e800p-8", "0x1.83c08cf941400p-3"),
-    "zero-dh sections 1": ("0x1.c05dedf9de390p+1", "0x1.161ff3eaffbafp+2"),
+    "zero-dh sections 1": ("0x1.c05dedf9de398p+1", "0x1.161ff3eaffbb4p+2"),
     "zero-dh differential 1 2": ("0x0.0p+0", "0x1.5888358a0707cp-2"),
-    "zero-dh sensitivity 1 2": ("0x1.5888358a0707bp-2", True, True),
-    "zero-dh sections 2": ("0x1.c05dedf9de390p+2", "0x1.161ff3eaffbafp+3"),
+    "zero-dh sensitivity 1 2": ("0x1.5888358a0707ep-2", True, True),
+    "zero-dh sections 2": ("0x1.c05dedf9de398p+2", "0x1.161ff3eaffbb4p+3"),
     "zero-dh differential 2 1": ("0x0.0p+0", "-0x1.5888358a0707cp-2"),
-    "zero-dh sensitivity 2 1": ("-0x1.5888358a0707bp-2", True, True),
+    "zero-dh sensitivity 2 1": ("-0x1.5888358a0707ep-2", True, True),
 }
 
 
 def test_first_order_values_are_pinned_bitwise():
     got = {label: _bits(record) for label, record in _first_order_records()}
     assert got == FIRST_ORDER_BITS
+
+
+def test_zero_dh_leak_head_is_within_tolerance_of_the_oracle():
+    # the zero-dh pins above follow from this leak head, which the forward
+    # solve must place within its tolerance of the 50-digit root
+    pipes, leak, _ = _zero_dh_network()
+    h = solve_leaky_state(pipes, leak, 2.0, 2.0).h_leak
+    exact = oracle.forward_leak_head(pipes, leak, 2.0, 2.0)
+    assert abs(Decimal(h) - exact) <= 1e-13 + 4 * sys.float_info.epsilon * abs(h)
 
 
 @pytest.mark.parametrize("bad", [0, 3])

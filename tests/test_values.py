@@ -212,6 +212,19 @@ def test_equal_values_of_other_classes_differ():
     assert Steeper(1.0, 2.0) == Steeper(1.0, 2.0)
 
 
+def test_empty_slots_keep_the_base_fields():
+    # `__slots__ = ()` adds no field, and keeps instances without a `__dict__`;
+    # it once raised TypeError from attrgetter() when the class was built
+    class Demand(FixedDemand):
+        __slots__ = ()
+
+    demand = Demand(0.25)
+    assert Demand._fields == ("q_leak",) and not hasattr(demand, "__dict__")
+    assert repr(demand).endswith(".Demand(q_leak=0.25)") and demand._asdict() == {"q_leak": 0.25}
+    assert demand == Demand(0.25) != FixedDemand(0.25)
+    assert copy.copy(demand) == demand and demand.replace(q_leak=0.5) == Demand(0.5)
+
+
 def test_shorthands_equal_their_power_law():
     assert Linear(0.2) == PowerLaw(0.2, 1.0)
     assert hash(Linear(0.2)) == hash(PowerLaw(0.2, 1.0))
