@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from itertools import count, repeat
 
 from .headloss import HeadLossFn, PipeSet, Value
@@ -98,25 +99,34 @@ def _require_outlet(j: int, x_j: float) -> None:
         )
 
 
-def _outflow(
-    U_j: HeadLossFn, x_j: float, G: float, dh: float, q_in: float
-) -> tuple[float, float]:
-    """The pipe-j outflow implied by (dh, q_in), given the flow G through all
-    other pipes, and its slope in q_in, -x_j/(1 - x_j) U_j'(a)/U_j'(b) for the
-    section flows a and b; x_j must not be 1. The slope is NaN where a section
-    flow is 0, and inf or 0 where the ratio leaves the float range."""
-    a = q_in - G
-    head_in = U_j.evaluate(a)
-    head_out = dh / (1.0 - x_j) - (x_j / (1.0 - x_j)) * head_in
-    b = U_j.invert(head_out)
-    # U'(a)/U'(b) from the values above: (U(a)/a)/(U(b)/b) on a power law,
-    # (2|a| + 1)/(2|b| + 1) on the quadratic-plus-linear law
-    if getattr(U_j, "gamma", 0):
-        den = a * head_out
-        ratio = head_in * b / den if den else math.nan
-    else:
-        ratio = (2.0 * abs(a) + 1.0) / (2.0 * abs(b) + 1.0)
-    return b + G, -x_j / (1.0 - x_j) * ratio
+def _outflow(U_j: HeadLossFn, x_j: float) -> Callable[..., tuple[float, float]]:
+    """The outflow map of the hypothesis (U_j, x_j); x_j must not be 1.
+
+    `outflow(G, dh, q_in)` is the pipe-j outflow implied by (dh, q_in), given
+    the flow G through all other pipes, and its slope in q_in,
+    -x_j/(1 - x_j) U_j'(a)/U_j'(b) for the section flows a and b. The slope is
+    NaN where a section flow is 0, and inf or 0 where the ratio leaves the
+    float range. The law's methods, the terms in x_j and the slope branch are
+    fixed here, so a caller builds the map once per hypothesis."""
+    evaluate, invert = U_j.evaluate, U_j.invert
+    w = 1.0 - x_j
+    r, m, power = x_j / w, -x_j / w, bool(getattr(U_j, "gamma", 0))
+
+    def outflow(G: float, dh: float, q_in: float) -> tuple[float, float]:
+        a = q_in - G
+        head_in = evaluate(a)
+        head_out = dh / w - r * head_in
+        b = invert(head_out)
+        # U'(a)/U'(b) from the values above: (U(a)/a)/(U(b)/b) on a power law,
+        # (2|a| + 1)/(2|b| + 1) on the quadratic-plus-linear law
+        if power:
+            den = a * head_out
+            ratio = head_in * b / den if den else math.nan
+        else:
+            ratio = (2.0 * abs(a) + 1.0) / (2.0 * abs(b) + 1.0)
+        return b + G, m * ratio
+
+    return outflow
 
 
 def candidate_position(pipes: PipeSet, j: int, d: DataPoint) -> float:
@@ -139,7 +149,7 @@ def estimate_outflow(
 ) -> float:
     """Outflow implied by (dh, q_in) under the hypothesis (j, x_j)."""
     _require_outlet(j, x_j)
-    return _outflow(pipes.pipe(j), x_j, pipes.admittance_excluding(j, dh), dh, q_in)[0]
+    return _outflow(pipes.pipe(j), x_j)(pipes.admittance_excluding(j, dh), dh, q_in)[0]
 
 
 def residual_bar(pipes: PipeSet, j: int, x_j: float, d: DataPoint) -> float:

@@ -7,8 +7,9 @@ zero-head-loss sensitivity formula.
 
 A confusion-curve point solves for the q_in at which the true leak and pipe
 i's hypothesis imply the same outflow, by Newton steps on the exact slope
-that `localization._outflow` returns with each outflow: minus the
-`SectionResistances.ratio` that `residual_differential` differences.
+that each hypothesis's map from `localization._outflow`, built once per
+curve, returns with each outflow: minus the `SectionResistances.ratio` that
+`residual_differential` differences.
 """
 
 from __future__ import annotations
@@ -111,6 +112,7 @@ def confusion_flow_curve(
     k, x = truth.k, truth.x
     U_k, U_i = pipes.pipe(k), pipes.pipe(i)
     _require_outlet(i, x_i)
+    outflow_k, outflow_i = _outflow(U_k, x), _outflow(U_i, x_i)
     q_vals: list[float] = []
     residuals: list[float] = []
     flags: list[bool] = []
@@ -121,8 +123,8 @@ def confusion_flow_curve(
         def fdf(q: float, dh=dh, G_k=G[k - 1], G_i=G[i - 1]) -> tuple[float, float]:
             # outflow the truth would produce, minus the outflow hypothesis i
             # expects, and the slope of that difference in q
-            out_k, slope_k = _outflow(U_k, x, G_k, dh, q)
-            out_i, slope_i = _outflow(U_i, x_i, G_i, dh, q)
+            out_k, slope_k = outflow_k(G_k, dh, q)
+            out_i, slope_i = outflow_i(G_i, dh, q)
             return out_k - out_i, slope_k - slope_i
 
         q, res, ok = _solve_point(fdf, seed)

@@ -30,6 +30,7 @@ from leakscope import (
     residual_bar,
     solve_leaky_state,
 )
+from leakscope.localization import _outflow
 from leakscope.rootfind import XTOL
 
 EPS = sys.float_info.epsilon
@@ -174,6 +175,48 @@ class TestEstimateOutflow:
         d = simulate_data(pipes, leak, [(5.0, 1.0)])[0]
         with pytest.raises(ValueError, match="position 1 in pipe 2 leaves no outlet"):
             residual_bar(pipes, 2, 1.0, d)
+
+
+def _outflow_per_call(U_j, x_j, G, dh, q_in):
+    """The outflow and its q_in-slope with every term formed at each call: the
+    formula that the map of `_outflow(U_j, x_j)` must reproduce bit for bit."""
+    a = q_in - G
+    head_in = U_j.evaluate(a)
+    head_out = dh / (1.0 - x_j) - (x_j / (1.0 - x_j)) * head_in
+    b = U_j.invert(head_out)
+    if getattr(U_j, "gamma", 0):
+        den = a * head_out
+        ratio = head_in * b / den if den else math.nan
+    else:
+        ratio = (2.0 * abs(a) + 1.0) / (2.0 * abs(b) + 1.0)
+    return b + G, -x_j / (1.0 - x_j) * ratio
+
+
+def _same_bits(got: float, want: float) -> bool:
+    return math.isnan(got) if math.isnan(want) else got.hex() == want.hex()
+
+
+_flows = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.builds(PowerLaw, st.floats(0.01, 100.0), st.sampled_from([0.5, 1.0, 1.85, 2.0])),
+        st.builds(QuadraticPlusLinear, st.floats(0.01, 100.0)),
+    ),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    _flows,
+    _flows,
+    _flows,
+)
+@example(Linear(1.0), 0.5, 0.0, 0.0, 0.0)  # 0/0: a NaN slope
+@example(QuadraticPlusLinear(2.0), 0.5, 0.0, 0.0, 0.0)
+@example(SignedQuadratic(1.0), 0.25, 1.0, 0.0, 1.0)  # a = 0 on a power law
+def test_outflow_map_matches_the_per_call_formula(U_j, x_j, G, dh, q_in):
+    got = _outflow(U_j, x_j)(G, dh, q_in)
+    want = _outflow_per_call(U_j, x_j, G, dh, q_in)
+    assert all(map(_same_bits, got, want)), (got, want)
 
 
 class TestCompleteDataPoint:

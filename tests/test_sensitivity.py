@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import math
 import statistics
 import sys
@@ -207,7 +209,7 @@ def _assert_curve_slopes_are_exact(pipes, leak, nominal, grid) -> tuple[int, int
             h = 1e-6 * max(1.0, abs(q))
             slopes = []
             for j, x_j in ((k, x), (i, x_i)):
-                out, slope = _outflow(pipes.pipe(j), x_j, G[j - 1], dh, q)
+                out, slope = _outflow(pipes.pipe(j), x_j)(G[j - 1], dh, q)
                 a, b = q - G[j - 1], out - G[j - 1]
                 slopes.append((out, slope))
                 # the laws are smooth away from zero flow: difference only where the
@@ -277,14 +279,20 @@ class TestConfusionCurveSlope:
 
 
 def test_confusion_curve_evaluation_counts(tmp_path, monkeypatch):
-    # mismatch evaluations per point of example2's CLI curves, two outflows each
+    # mismatch evaluations per point of example2's CLI curves, two outflows each:
+    # a curve builds its two outflow maps once, so the calls of those maps count
     calls, fallbacks, points = [0], [0], []
     outflow, solve = sensitivity._outflow, sensitivity._solve_point
     expand = sensitivity.expand_bracket
 
     def counted_outflow(*args):
-        calls[0] += 1
-        return outflow(*args)
+        outflow_map = outflow(*args)
+
+        def counted_map(*map_args):
+            calls[0] += 1
+            return outflow_map(*map_args)
+
+        return counted_map
 
     def counted_expand(*args, **kwargs):
         fallbacks[0] += 1
@@ -302,12 +310,48 @@ def test_confusion_curve_evaluation_counts(tmp_path, monkeypatch):
     scenario = str(bundled_scenario("example2"))
     assert cli_main(["confusion", "--scenario", scenario, "--out", str(tmp_path)]) == 0
     assert len(points) == 3 * 41
+    # every point evaluates the mismatch at least once; counting map builds,
+    # two per curve, would fail here
+    assert calls[0] >= 2 * len(points)
     assert statistics.median(e for e, _ in points) <= 5
     newton = [e for e, fell_back in points if not fell_back]
     assert sum(newton) / len(newton) <= 4.5
     # only pipe 2's last point below the nominal head loss, dh 3.0, falls back;
     # test_cli's strict xfail pins where it lands
     assert [n for n, (_, fell_back) in enumerate(points) if fell_back] == [60]
+
+
+# example2's confusion and residual-sweep CSVs, pinned to the bit: the sha256
+# of the float.hex of every q_in_conf and residual cell of confusion.csv, then
+# of every rbar_j cell of residual_sweep.csv, in file order and one per line.
+# test_golden.py allows 1e-12 and would miss a moved bit.
+EXAMPLE2_BITS = "72f1d6a3c2a3f68c6e14d02ad3a7390016ed0653312d89dd875db09f146a432d"
+# pipe 2's point at dh 3.0, where the bracketed fallback lands (q_in -7.784),
+# and at the nominal dh 4.0: (q_in_conf, residual)
+EXAMPLE2_PIPE2_POINTS = {
+    "3": ("-0x1.f22c5ef38bd0dp+2", "0x1.0000000000000p-49"),
+    "4": ("0x1.2e6dad51f3ee0p+1", "0x1.8000000000000p-51"),
+}
+
+
+def test_example2_curves_and_sweep_keep_their_bits(tmp_path):
+    scenario = str(bundled_scenario("example2"))
+    for command in ("confusion", "residual-sweep"):
+        assert cli_main([command, "--scenario", scenario, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "confusion.csv", newline="") as fh:
+        curve = list(csv.DictReader(fh))
+    with open(tmp_path / "residual_sweep.csv", newline="") as fh:
+        sweep = list(csv.DictReader(fh))
+    assert (len(curve), len(sweep)) == (3 * 41, 41)
+    cells = [float(row[c]).hex() for row in curve for c in ("q_in_conf", "residual")]
+    cells += [float(row[f"rbar_{j}"]).hex() for row in sweep for j in (1, 2, 3)]
+    assert hashlib.sha256("\n".join(cells).encode()).hexdigest() == EXAMPLE2_BITS
+    pipe2 = {
+        row["dh"]: (float(row["q_in_conf"]).hex(), float(row["residual"]).hex())
+        for row in curve
+        if row["pipe"] == "2" and row["dh"] in EXAMPLE2_PIPE2_POINTS
+    }
+    assert pipe2 == EXAMPLE2_PIPE2_POINTS
 
 
 class TestZeroDhSensitivity:
