@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import add, attrgetter
 
 
@@ -275,12 +275,11 @@ def detect_inherent_ambiguity(pipes: PipeSet) -> list[tuple[tuple[int, int], str
     linear laws regardless of their resistances.
     """
     linear = Linear(1.0).shape_key()
-    flagged: list[tuple[tuple[int, int], str]] = []
-    for a in range(1, pipes.n + 1):
-        for b in range(a + 1, pipes.n + 1):
-            pa, pb = pipes.pipe(a), pipes.pipe(b)
-            if pa == pb:
-                flagged.append(((a, b), "identical"))
-            elif pa.shape_key() == pb.shape_key() == linear:
-                flagged.append(((a, b), "linear"))
-    return flagged
+    by_law: dict[HeadLossFn, list[int]] = {}  # laws hash by their fields
+    for j, p in enumerate(pipes.pipes, start=1):
+        by_law.setdefault(p, []).append(j)
+    linears = [j for j, p in enumerate(pipes.pipes, start=1) if p.shape_key() == linear]
+    flagged = dict.fromkeys(combinations(linears, 2), "linear")
+    for same in by_law.values():  # an identical pair of linear laws is "identical"
+        flagged.update(dict.fromkeys(combinations(same, 2), "identical"))
+    return sorted(flagged.items())

@@ -9,12 +9,13 @@ otherwise hopeless all-linear case).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
+from itertools import count, repeat
+from operator import mul
 
-# all_candidates is looked up at each call: bench/tracing.py swaps functions in
-# the loaded modules and puts them back, and this module may load in between
-from . import localization
 from .headloss import HeadLossFn, PipeSet, Value, detect_inherent_ambiguity
 from .hydraulics import DataPoint
+from .localization import _position
 
 
 class TooFewPointsError(ValueError):
@@ -53,10 +54,13 @@ def isolate_by_consistency(
             f"need at least 2 distinct data points to isolate, got {distinct}"
         )
 
-    series: dict[int, list[float]] = {j: [] for j in range(1, pipes.n + 1)}
-    for d in data:
-        for cand in localization.all_candidates(pipes, d):
-            series[cand.j].append(cand.x_j)
+    dh, q_in, q_out = [d.dh for d in data], [d.q_in for d in data], [d.q_out for d in data]
+    columns = zip(*map(pipes.admittances_excluding, dh))  # pipe j's G_j at each data point
+    series: dict[int, tuple[float, ...]] = {}
+    # a loop, not a comprehension, which adds a frame on Python < 3.12: map adds
+    # none, so _position's warning names this function's caller
+    for j, U_j, G_j in zip(count(1), pipes.pipes, columns):
+        series[j] = tuple(map(_position, repeat(U_j), repeat(j), G_j, dh, q_in, q_out))
     spreads = {j: max(s) - min(s) for j, s in series.items()}
     plausible = sorted(j for j, sp in spreads.items() if sp <= eps_spread)
 
@@ -76,7 +80,7 @@ def isolate_by_consistency(
             else "multiple pipes have consistent candidate positions"
         )
     return IsolationVerdict(
-        candidate_series={j: tuple(s) for j, s in series.items()},
+        candidate_series=series,
         spreads=spreads,
         isolated=k_hat is not None,
         k_hat=k_hat,
@@ -131,38 +135,50 @@ def fit_leak_function(
     (outflow against no pressure) and cause outright rejection. `j` is the
     pipe the result is recorded for; the result keeps the samples.
     """
-    if len(samples) < 3:
-        raise TooFewPointsError(f"need at least 3 samples, got {len(samples)}")
-    if len({q for _, q in samples}) < 3:
+    return _fits({j: [h for h, _ in samples]}, [q for _, q in samples], h_y, eps_fit)[0]
+
+
+def _fits(
+    heads_by_pipe: dict[int, Sequence[float]], q: Sequence[float], h_y: dict[int, float] | float,
+    eps_fit: float,
+) -> list[LeakFitResult]:
+    """`fit_leak_function` of each pipe's heads against the leak flows q that all share,
+    in pipe order. The flows are checked and logged once, unless no pipe is to be fit."""
+    n = len(q)
+    if n < 3:
+        raise TooFewPointsError(f"need at least 3 samples, got {n}")
+    if heads_by_pipe and len(set(q)) < 3:
         raise TooFewPointsError("need at least 3 distinct leak flows")
-    if any(h - h_y <= 0.0 for h, _ in samples):
-        return LeakFitResult(
-            j=j, C_j=math.nan, beta_j=math.nan, rmse=math.inf,
-            negative_head=True, accepted=False, samples=tuple(samples),
-        )
-    if any(q <= 0.0 for _, q in samples):
-        raise ValueError("leak flows must be positive for a log-log fit")
-    log_h = [math.log(h - h_y) for h, _ in samples]
-    if max(log_h) == min(log_h):
-        raise ValueError("zero variance in log pressure head; fit is degenerate")
-    log_q = [math.log(q) for _, q in samples]
-    # ordinary least squares in the closed form of statistics.linear_regression
-    n = len(samples)
-    mean_h, mean_q = math.fsum(log_h) / n, math.fsum(log_q) / n
-    s_hq = math.fsum((x - mean_h) * (y - mean_q) for x, y in zip(log_h, log_q))
-    s_hh = math.fsum((x - mean_h) * (x - mean_h) for x in log_h)
-    beta = s_hq / s_hh
-    log_C = mean_q - beta * mean_h
-    C = rmse = math.inf  # kept where the fitted law leaves the float range
-    try:
-        C = math.exp(log_C)
-        rmse = math.sqrt(math.fsum((q - C * (h - h_y) ** beta) ** 2 for h, q in samples) / n)
-    except OverflowError:
-        pass
-    return LeakFitResult(
-        j=j, C_j=C, beta_j=beta, rmse=rmse,
-        negative_head=False, accepted=rmse <= eps_fit, samples=tuple(samples),
-    )
+    positive = not any(v <= 0.0 for v in q)
+    log_q = list(map(math.log, q)) if positive else []  # a pipe fit raises before reading them
+    mean_q = math.fsum(log_q) / n
+    centred_q = [y - mean_q for y in log_q]
+    results = []
+    for j, heads in heads_by_pipe.items():
+        y_j = h_y[j] if isinstance(h_y, dict) else h_y
+        samples = tuple(zip(heads, q))
+        above = [h - y_j for h in heads]  # the pressure heads
+        if any(a <= 0.0 for a in above):
+            results.append(LeakFitResult(j, math.nan, math.nan, math.inf, True, False, samples))
+            continue
+        if not positive:
+            raise ValueError("leak flows must be positive for a log-log fit")
+        log_h = list(map(math.log, above))
+        if max(log_h) == min(log_h):
+            raise ValueError("zero variance in log pressure head; fit is degenerate")
+        # ordinary least squares in the closed form of statistics.linear_regression
+        mean_h = math.fsum(log_h) / n
+        centred_h = [x - mean_h for x in log_h]
+        s_hq = math.fsum(map(mul, centred_h, centred_q))
+        beta = s_hq / math.fsum(map(mul, centred_h, centred_h))  # s_hq / s_hh
+        C = rmse = math.inf  # kept where the fitted law leaves the float range
+        try:
+            C = math.exp(mean_q - beta * mean_h)
+            rmse = math.sqrt(math.fsum((v - C * a**beta) ** 2 for a, v in zip(above, q)) / n)
+        except OverflowError:
+            pass
+        results.append(LeakFitResult(j, C, beta, rmse, False, rmse <= eps_fit, samples))
+    return results
 
 
 def isolate_by_leak_fit(
@@ -181,16 +197,11 @@ def isolate_by_leak_fit(
     if len(data) < 3:
         raise TooFewPointsError(f"need at least 3 data points, got {len(data)}")
     laws = {j: pipes.pipe(j) for j in sorted(candidates)}
-    samples: dict[int, list[tuple[float, float]]] = {j: [] for j in laws}
-    for d in data:
-        G = pipes.admittances_excluding(d.dh)
-        h_in, q_in, q_leak = d.h_in, d.q_in, apparent_leak_flow(d)  # read once, not per pipe
-        for j, U_j in laws.items():
-            samples[j].append((_leak_head(U_j, candidates[j], G[j - 1], h_in, q_in), q_leak))
-    results = [
-        fit_leak_function(
-            samples[j], h_y=h_y[j] if isinstance(h_y, dict) else h_y, eps_fit=eps_fit, j=j
-        )
-        for j in laws
-    ]
+    h_in, q_in = [d.h_in for d in data], [d.q_in for d in data]
+    columns = list(zip(*map(pipes.admittances_excluding, [d.dh for d in data])))
+    heads = {
+        j: tuple(map(_leak_head, repeat(U_j), repeat(candidates[j]), columns[j - 1], h_in, q_in))
+        for j, U_j in laws.items()
+    }
+    results = _fits(heads, list(map(apparent_leak_flow, data)), h_y, eps_fit)
     return sorted(results, key=lambda r: (r.negative_head, r.rmse, r.j))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from itertools import count, repeat
+from itertools import repeat
 
 from .headloss import HeadLossFn, PipeSet, Value
 from .hydraulics import DataPoint
@@ -67,10 +67,10 @@ def residual(pipes: PipeSet, j: int, x_j: float, d: DataPoint) -> float:
     )
 
 
-def _candidate(
+def _position(
     U_j: HeadLossFn, j: int, G: float, dh: float, q_in: float, q_out: float
-) -> LeakCandidate:
-    """The pipe-j candidate from dh, q_in and q_out, given the flow G through the other pipes."""
+) -> float:
+    """Pipe j's candidate x_j from dh, q_in and q_out, given the flow G through the others."""
     if q_in == q_out:
         raise NoLeakError("q_in equals q_out; no leak position can be inferred")
     head_in = U_j.evaluate(q_in - G)
@@ -87,8 +87,7 @@ def _candidate(
             "the data point is not consistent with a single leak",
             stacklevel=3,
         )
-    # by position: keywords cost more, and this runs once per pipe and state
-    return LeakCandidate(j, x_j)
+    return x_j
 
 
 def _require_outlet(j: int, x_j: float) -> None:
@@ -132,16 +131,17 @@ def _outflow(U_j: HeadLossFn, x_j: float) -> Callable[..., tuple[float, float]]:
 def candidate_position(pipes: PipeSet, j: int, d: DataPoint) -> float:
     """The unique x_j in (0,1) zeroing the pipe-j residual."""
     dh = d.dh
-    return _candidate(pipes.pipe(j), j, pipes.admittance_excluding(j, dh), dh, d.q_in, d.q_out).x_j
+    return _position(pipes.pipe(j), j, pipes.admittance_excluding(j, dh), dh, d.q_in, d.q_out)
 
 
 def all_candidates(pipes: PipeSet, d: DataPoint) -> list[LeakCandidate]:
     """One leak candidate per pipe, in pipe order."""
     dh = d.dh
     G = pipes.admittances_excluding(dh)
-    readings = repeat(dh), repeat(d.q_in), repeat(d.q_out)  # read once, not per pipe
-    # map adds no Python frame, so _candidate's warning names this function's caller
-    return list(map(_candidate, pipes.pipes, count(1), G, *readings))
+    js = range(1, len(G) + 1)
+    # map adds no Python frame, so _position's warning names this function's caller
+    x = map(_position, pipes.pipes, js, G, repeat(dh), repeat(d.q_in), repeat(d.q_out))
+    return list(map(LeakCandidate, js, x))
 
 
 def estimate_outflow(

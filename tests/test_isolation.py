@@ -1,18 +1,22 @@
 import math
+import warnings
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import simulate_data
 
 from leakscope import (
     DataPoint,
     IsolationVerdict,
+    LeakFitResult,
     LeakSpec,
     Linear,
     NoLeakError,
     PipeSet,
     PowerLaw,
     PowerLawLeak,
+    QuadraticPlusLinear,
     SignedQuadratic,
     SqrtLeak,
     TooFewPointsError,
@@ -243,3 +247,158 @@ class TestIsolateByLeakFit:
         data = simulate_data(pipes, leak, boundaries[:2])
         with pytest.raises(TooFewPointsError):
             isolate_by_leak_fit(pipes, data, {1: 0.3, 2: 0.3, 3: 0.3})
+
+
+# -- the column kernels against the per-point and per-pipe definitions ------------
+
+
+def _verdict_per_point(pipes, data, eps_spread):
+    """The consistency verdict from `candidate_position` per (pipe, point), pipe by pipe."""
+    distinct = len(set(data))
+    if distinct < 2:
+        raise TooFewPointsError(f"need at least 2 distinct data points to isolate, got {distinct}")
+    series = {
+        j: tuple(candidate_position(pipes, j, d) for d in data) for j in range(1, pipes.n + 1)
+    }
+    spreads = {j: max(s) - min(s) for j, s in series.items()}
+    plausible = sorted(j for j, spread in spreads.items() if spread <= eps_spread)
+    if len(plausible) == 1:
+        k = plausible[0]
+        return IsolationVerdict(series, spreads, True, k, math.fsum(series[k]) / len(series[k]))
+    pairs = [
+        f"pipes {a}-{b} {why}" for (a, b), why in detect_inherent_ambiguity(pipes)
+        if a in plausible and b in plausible
+    ]
+    reason = "; ".join(pairs) or "multiple pipes have consistent candidate positions"
+    return IsolationVerdict(
+        series, spreads, False, candidate_pipes=frozenset(plausible),
+        reason=reason if plausible else "no pipe has a consistent candidate position",
+    )
+
+
+def _fit_one_pipe(samples, h_y, eps_fit, j):
+    """The log-log leak fit of one pipe's (head, flow) samples, written out pipe by
+    pipe: the checks and float operations that `_fits` must reproduce for each pipe."""
+    if len(samples) < 3:
+        raise TooFewPointsError(f"need at least 3 samples, got {len(samples)}")
+    if len({q for _, q in samples}) < 3:
+        raise TooFewPointsError("need at least 3 distinct leak flows")
+    if any(h - h_y <= 0.0 for h, _ in samples):
+        return LeakFitResult(j, math.nan, math.nan, math.inf, True, False, tuple(samples))
+    if any(q <= 0.0 for _, q in samples):
+        raise ValueError("leak flows must be positive for a log-log fit")
+    log_h = [math.log(h - h_y) for h, _ in samples]
+    if max(log_h) == min(log_h):
+        raise ValueError("zero variance in log pressure head; fit is degenerate")
+    log_q = [math.log(q) for _, q in samples]
+    n = len(samples)
+    mean_h, mean_q = math.fsum(log_h) / n, math.fsum(log_q) / n
+    s_hq = math.fsum((x - mean_h) * (y - mean_q) for x, y in zip(log_h, log_q))
+    s_hh = math.fsum((x - mean_h) * (x - mean_h) for x in log_h)
+    beta = s_hq / s_hh
+    C = rmse = math.inf
+    try:
+        C = math.exp(mean_q - beta * mean_h)
+        rmse = math.sqrt(math.fsum((q - C * (h - h_y) ** beta) ** 2 for h, q in samples) / n)
+    except OverflowError:
+        pass
+    return LeakFitResult(j, C, beta, rmse, False, rmse <= eps_fit, tuple(samples))
+
+
+def _leak_fit_per_pipe(pipes, data, candidates, h_y, eps_fit=1e-6):
+    """`isolate_by_leak_fit` as one fit per pipe of its apparent leak heads."""
+    if len(data) < 3:
+        raise TooFewPointsError(f"need at least 3 data points, got {len(data)}")
+    fits = [
+        _fit_one_pipe(
+            [(apparent_leak_head(pipes, j, x_j, d), apparent_leak_flow(d)) for d in data],
+            h_y[j] if isinstance(h_y, dict) else h_y, eps_fit, j,
+        )
+        for j, x_j in sorted(candidates.items())
+    ]
+    return sorted(fits, key=lambda r: (r.negative_head, r.rmse, r.j))
+
+
+def _outcome(call, *args):
+    """The result's repr, which tells -0.0 from 0.0 and shows NaN, or the error raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            return repr(call(*args))
+        except (ValueError, ArithmeticError) as exc:
+            return type(exc), str(exc)
+
+
+_LAWS = st.one_of(
+    st.builds(PowerLaw, st.floats(0.01, 10.0), st.sampled_from([0.5, 1.0, 1.85, 2.0])),
+    st.builds(QuadraticPlusLinear, st.floats(0.01, 10.0)),
+)
+# readings from a short list repeat, so drawn points share flows, heads and head losses
+_READINGS = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 5.0]), st.floats(-20.0, 20.0))
+
+
+@st.composite
+def _cases(draw):
+    """A network of 1-12 mixed laws; 3-30 data points, simulated from a power-law
+    leak, so that fits succeed, or drawn reading by reading, so that the checks
+    raise or reject; a spread tolerance; a position and leak elevation per pipe."""
+    pipes = PipeSet(draw(st.lists(_LAWS, min_size=1, max_size=12)))
+    m = draw(st.integers(3, 30))
+    positions = draw(st.lists(st.floats(0.01, 0.99), min_size=pipes.n, max_size=pipes.n))
+    candidates = dict(enumerate(positions, start=1))
+    if draw(st.booleans()):
+        leak = LeakSpec(
+            draw(st.integers(1, pipes.n)), draw(st.floats(0.05, 0.95)),
+            PowerLawLeak(C=draw(st.floats(0.1, 10.0)), beta=draw(st.floats(0.3, 1.5))),
+        )
+        heads = st.tuples(st.floats(0.0, 6.0), st.floats(0.1, 3.0))
+        pairs = draw(st.lists(heads, min_size=m, max_size=m))
+        data = simulate_data(pipes, leak, [(h_out + dh, h_out) for dh, h_out in pairs])
+        candidates[leak.k] = leak.x
+    else:
+        data = [DataPoint(*draw(st.tuples(*[_READINGS] * 4))) for _ in range(m)]
+    elevations = st.floats(-2.0, 1.0)
+    h_y = draw(st.one_of(elevations, st.fixed_dictionaries({j: elevations for j in candidates})))
+    return pipes, data, draw(st.sampled_from([1e-6, 1e-3, 1.0])), candidates, h_y
+
+
+_ONE_LINEAR = PipeSet((Linear(1.0),))  # G = 0: each point's apparent head is h_in - q_in/2
+
+
+def _one_linear_case(*readings):
+    return _ONE_LINEAR, [DataPoint(*r) for r in readings], 1e-6, {1: 0.5}, 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cases())
+@example(_one_linear_case((2.0, 1.0, 3.0, 1.0), (3.0, 1.0, 4.0, 2.0), (4.0, 1.0, 5.0, 2.0)))
+@example(_one_linear_case((10.0, 1.0, 3.0, 1.0), (11.0, 1.0, 3.0, 3.0), (12.0, 1.0, 4.0, 1.0)))
+@example(_one_linear_case((10.0, 1.0, 3.0, 1.0), (10.0, 1.0, 3.0, 2.0), (10.0, 1.0, 3.0, 0.5)))
+@example(_one_linear_case((-5.0, -6.0, 3.0, 1.0), (-4.0, -6.0, 3.0, 2.0), (-3.0, -6.0, 3.0, 0.5)))
+@example(_one_linear_case((1e10, 0.0, 0.0, -1.0), (1.0001e10, 0.0, 0.0, -10.0),
+                          (1.0002e10, 0.0, 0.0, -100.0)))
+def test_isolation_matches_its_per_point_and_per_pipe_definitions(case):
+    # the examples: 2 distinct leak flows, a zero leak flow, zero-variance heads,
+    # negative heads and a fit that overflows
+    pipes, data, eps_spread, candidates, h_y = case
+    assert _outcome(isolate_by_consistency, pipes, data, eps_spread) == _outcome(
+        _verdict_per_point, pipes, data, eps_spread
+    )
+    assert _outcome(isolate_by_leak_fit, pipes, data, candidates, h_y) == _outcome(
+        _leak_fit_per_pipe, pipes, data, candidates, h_y
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_READINGS, _READINGS), max_size=8),
+    st.floats(-2.0, 1.0),
+    st.sampled_from([1e-6, 1.0]),
+)
+@example([(1e10, 1.0), (1.0001e10, 10.0), (1.0002e10, 100.0)], 0.0, 1e-6)  # overflows
+@example([(1.0, 1.0), (2.0, 0.0), (3.0, 2.0)], 0.0, 1e-6)  # a zero leak flow
+@example([(0.5, 50.0 * 0.5**0.5), (2.0, 50.0 * 2.0**0.5), (5.0, 50.0 * 5.0**0.5)], 0.0, 1e-6)
+def test_fit_leak_function_matches_the_one_pipe_fit(samples, h_y, eps_fit):
+    assert _outcome(fit_leak_function, samples, h_y, eps_fit) == _outcome(
+        _fit_one_pipe, samples, h_y, eps_fit, 0
+    )

@@ -32,6 +32,7 @@ from leakscope import (
     confusion_flow_curve,
     estimate_outflow,
     fit_leak_function,
+    isolate_by_consistency,
     isolate_by_leak_fit,
     measure,
     residual_differential,
@@ -281,52 +282,70 @@ def test_admittance_slopes_survive_a_dominant_pipe(position):
 
 
 @pytest.fixture
-def count_inversions(monkeypatch):
-    calls = [0]
+def count_law_calls(monkeypatch):
+    """Calls of each law's `invert` and `evaluate`, by method name."""
+    calls = dict.fromkeys(("invert", "evaluate"), 0)
     for cls in (PowerLaw, QuadraticPlusLinear):
-        def counted(self, h, _invert=cls.invert):
-            calls[0] += 1
-            return _invert(self, h)
-        monkeypatch.setattr(cls, "invert", counted)
+        for name in calls:
+            def counted(self, v, _method=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _method(self, v)
+            monkeypatch.setattr(cls, name, counted)
     return calls
 
 
-def test_all_candidates_inverts_each_pipe_once(count_inversions):
+def test_isolation_evaluates_each_law_per_term_and_inverts_once_per_head_loss(count_law_calls):
+    pipes, _, data = mixed_network(17)
+    data = [*data, data[0]]  # a repeated state asks a head loss twice
+    n, m, head_losses = pipes.n, len(data), len({d.dh for d in data})
+    candidates = {c.j: c.x_j for c in all_candidates(pipes, data[0])}
+    for isolate, evaluations in (
+        (lambda p: isolate_by_consistency(p, data), 2 * n * m),  # both sections of each x_j
+        (lambda p: isolate_by_leak_fit(p, data, candidates), n * m),  # each apparent head
+    ):
+        cold = PipeSet(pipes.pipes)
+        for memo, inversions in (("cold", n * head_losses), ("warm", 0)):
+            count_law_calls.update(invert=0, evaluate=0)
+            isolate(cold)
+            assert count_law_calls == {"invert": inversions, "evaluate": evaluations}, memo
+
+
+def test_all_candidates_inverts_each_pipe_once(count_law_calls):
     pipes, _, data = mixed_network(40)
     cold = PipeSet(pipes.pipes)  # simulate_data's measure filled the memo for pipes
-    count_inversions[0] = 0
+    count_law_calls["invert"] = 0
     all_candidates(cold, data[0])
-    assert count_inversions[0] == cold.n
+    assert count_law_calls["invert"] == cold.n
     all_candidates(cold, data[0])
-    assert count_inversions[0] == cold.n  # a repeated call inverts nothing
+    assert count_law_calls["invert"] == cold.n  # a repeated call inverts nothing
 
 
-def test_leak_fit_inverts_each_pipe_once_per_point(count_inversions):
+def test_leak_fit_inverts_each_pipe_once_per_point(count_law_calls):
     pipes, _, data = mixed_network(40)
     candidates = {c.j: c.x_j for c in all_candidates(pipes, data[0])}
     cold = PipeSet(pipes.pipes)
-    count_inversions[0] = 0
+    count_law_calls["invert"] = 0
     isolate_by_leak_fit(cold, data, candidates)
-    assert count_inversions[0] == cold.n * len(data)
+    assert count_law_calls["invert"] == cold.n * len(data)
     isolate_by_leak_fit(cold, data, candidates)
-    assert count_inversions[0] == cold.n * len(data)
+    assert count_law_calls["invert"] == cold.n * len(data)
 
 
-def test_measure_localize_and_fit_invert_each_pipe_once_per_head_loss(count_inversions):
+def test_measure_localize_and_fit_invert_each_pipe_once_per_head_loss(count_law_calls):
     pipes, leak, _ = mixed_network(40)
     pipes = PipeSet(pipes.pipes)
     # the last two pairs repeat the first head loss, one of them in another state
     boundaries = [(3.0, 1.0), (4.5, 1.0), (6.0, 1.0), (7.5, 1.0), (3.0, 1.0), (4.0, 2.0)]
     # the solve inverts the leaking pipe's law alone, as often as its Newton steps
     states = [solve_leaky_state(pipes, leak, h_in, h_out) for h_in, h_out in boundaries]
-    count_inversions[0] = 0
+    count_law_calls["invert"] = 0
     data = [measure(state, pipes, leak) for state in states]
     candidates = {c.j: c.x_j for c in all_candidates(pipes, data[0])}
     for d in data:
         all_candidates(pipes, d)
     isolate_by_leak_fit(pipes, data, candidates)
     assert len({d.dh for d in data}) == 4
-    assert count_inversions[0] == pipes.n * 4
+    assert count_law_calls["invert"] == pipes.n * 4
 
 
 def test_confusion_curve_forms_admittances_once_per_grid_point(monkeypatch):
@@ -345,23 +364,23 @@ def test_confusion_curve_forms_admittances_once_per_grid_point(monkeypatch):
     assert calls[0] == len(grid)
 
 
-def test_first_order_partials_invert_each_pipe_once_per_pass(count_inversions):
+def test_first_order_partials_invert_each_pipe_once_per_pass(count_law_calls):
     pipes, leak, data = mixed_network(6)
     x_2 = all_candidates(pipes, data[0])[1].x_j
-    count_inversions[0] = 0
+    count_law_calls["invert"] = 0
     residual_differential(pipes, 2, x_2, leak.k, leak.x, data[0])
-    assert count_inversions[0] == 0  # the flows and the slopes read the memo
+    assert count_law_calls["invert"] == 0  # the flows and the slopes read the memo
     cold = PipeSet(pipes.pipes)
-    count_inversions[0] = 0
+    count_law_calls["invert"] = 0
     residual_differential(cold, 2, x_2, leak.k, leak.x, data[0])
-    assert count_inversions[0] == pipes.n  # the flows, which the slopes then read
+    assert count_law_calls["invert"] == pipes.n  # the flows, which the slopes then read
 
     proportional = PipeSet(tuple(QuadraticPlusLinear(0.5 * j) for j in range(1, 7)))
     leak = LeakSpec(1, 0.4, FixedDemand(3.0))
     d0 = measure(solve_leaky_state(proportional, leak, 2.0, 2.0), proportional, leak)
-    count_inversions[0] = 0
+    count_law_calls["invert"] = 0
     zero_dh_sensitivity(proportional, 2, 1, 0.4, d0)
-    assert count_inversions[0] == 0  # measure filled the memo at dh = 0
+    assert count_law_calls["invert"] == 0  # measure filled the memo at dh = 0
     cold = PipeSet(proportional.pipes)
     zero_dh_sensitivity(cold, 2, 1, 0.4, d0)
-    assert count_inversions[0] == proportional.n
+    assert count_law_calls["invert"] == proportional.n

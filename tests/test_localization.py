@@ -25,6 +25,7 @@ from leakscope import (
     candidate_position,
     complete_data_point,
     estimate_outflow,
+    isolate_by_consistency,
     measure,
     residual,
     residual_bar,
@@ -103,8 +104,14 @@ def test_out_of_range_candidate_warns(example2):
         candidate_position(pipes, 1, d)
     with pytest.warns(UserWarning) as every:
         all_candidates(pipes, d)
+    with pytest.warns(UserWarning) as isolating:
+        isolate_by_consistency(pipes, [d, DataPoint(6.0, 1.0, 55.0, 70.0)])
+    # one warning per pipe and point, in pipe-major order
+    assert [str(w.message).split(" for ")[1][:6] for w in isolating] == [
+        f"pipe {j}" for j in (1, 1, 2, 2, 3, 3)
+    ]
     # each warning names the caller's line, not a line inside leakscope
-    assert {w.filename for w in [*one, *every]} == {__file__}
+    assert {w.filename for w in [*one, *every, *isolating]} == {__file__}
 
 
 class TestResidual:

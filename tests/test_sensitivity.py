@@ -552,3 +552,30 @@ class TestInherentAmbiguity:
     def test_example2_clean(self, example2):
         pipes, _ = example2
         assert detect_inherent_ambiguity(pipes) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            # a short list, so that pipes repeat a law, spelled either way
+            st.sampled_from([
+                Linear(0.1), Linear(0.2), PowerLaw(0.1, 1.0), SignedQuadratic(0.1),
+                PowerLaw(0.1, 2.0), PowerLaw(0.1, 1.85), QuadraticPlusLinear(1.0),
+                QuadraticPlusLinear(2.0),
+            ]),
+            st.builds(Linear, st.floats(0.01, 1.0)),
+            st.builds(QuadraticPlusLinear, st.floats(0.01, 1.0)),
+        ),
+        min_size=1, max_size=40,
+    ))
+    def test_matches_the_pairwise_loop(self, laws):
+        pipes = PipeSet(laws)
+        linear = Linear(1.0).shape_key()
+        pairwise = []
+        for a in range(1, pipes.n + 1):
+            for b in range(a + 1, pipes.n + 1):
+                pa, pb = pipes.pipe(a), pipes.pipe(b)
+                if pa == pb:
+                    pairwise.append(((a, b), "identical"))
+                elif pa.shape_key() == pb.shape_key() == linear:
+                    pairwise.append(((a, b), "linear"))
+        assert detect_inherent_ambiguity(pipes) == pairwise
