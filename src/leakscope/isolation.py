@@ -48,10 +48,10 @@ def isolate_by_consistency(
     pipes: PipeSet, data: list[DataPoint], eps_spread: float = 1e-6
 ) -> IsolationVerdict:
     """The leaking pipe is the one whose candidate position stays put."""
-    distinct = len(set(data))
-    if distinct < 2:
+    # two distinct points, as a set tells them apart; the count is only for the message
+    if not any(d != data[0] for d in data):
         raise TooFewPointsError(
-            f"need at least 2 distinct data points to isolate, got {distinct}"
+            f"need at least 2 distinct data points to isolate, got {len(set(data))}"
         )
 
     dh, q_in, q_out = [d.dh for d in data], [d.q_in for d in data], [d.q_out for d in data]

@@ -119,15 +119,7 @@ def confusion_flow_curve(
     seed = seed_qin
     for dh in dh_grid:
         G = pipes.admittances_excluding(dh)
-
-        def fdf(q: float, dh=dh, G_k=G[k - 1], G_i=G[i - 1]) -> tuple[float, float]:
-            # outflow the truth would produce, minus the outflow hypothesis i
-            # expects, and the slope of that difference in q
-            out_k, slope_k = outflow_k(G_k, dh, q)
-            out_i, slope_i = outflow_i(G_i, dh, q)
-            return out_k - out_i, slope_k - slope_i
-
-        q, res, ok = _solve_point(fdf, seed)
+        q, res, ok = _solve_point(outflow_k, outflow_i, G[k - 1], G[i - 1], dh, seed)
         q_vals.append(q)
         residuals.append(abs(res))
         flags.append(ok)
@@ -142,14 +134,20 @@ def confusion_flow_curve(
     )
 
 
-def _solve_point(fdf, seed: float) -> tuple[float, float, bool]:
-    """Damped Newton from `seed` on fdf(q) = (f, f'), until |f| <= CURVE_TOL.
+def _solve_point(
+    outflow_k, outflow_i, G_k: float, G_i: float, dh: float, seed: float
+) -> tuple[float, float, bool]:
+    """Damped Newton from `seed` on f(q) = out_k - out_i, the outflow the truth
+    would produce minus the outflow hypothesis i expects, on f' = slope_k -
+    slope_i, until |f| <= CURVE_TOL.
 
     A step is halved until |f| shrinks. Where f' is 0 or not finite (a zero
     section flow), or the steps stall, Brent's zeroin on a bracket grown
     around the seed takes over."""
     q = seed
-    fq, slope = fdf(q)
+    out_k, slope_k = outflow_k(G_k, dh, q)
+    out_i, slope_i = outflow_i(G_i, dh, q)
+    fq, slope = out_k - out_i, slope_k - slope_i
     for _ in range(CURVE_MAX_ITER):
         if abs(fq) <= CURVE_TOL or not 0.0 < abs(slope) < math.inf:
             break
@@ -157,9 +155,11 @@ def _solve_point(fdf, seed: float) -> tuple[float, float, bool]:
         # damping: halve until the residual actually shrinks
         for _ in range(50):
             q_new = q + delta
-            f_new, s_new = fdf(q_new)
+            out_k, slope_k = outflow_k(G_k, dh, q_new)
+            out_i, slope_i = outflow_i(G_i, dh, q_new)
+            f_new = out_k - out_i
             if abs(f_new) < abs(fq):
-                q, fq, slope = q_new, f_new, s_new
+                q, fq, slope = q_new, f_new, slope_k - slope_i
                 break
             delta *= 0.5
         else:
@@ -167,7 +167,7 @@ def _solve_point(fdf, seed: float) -> tuple[float, float, bool]:
     if abs(fq) > CURVE_TOL:
         # bracketed fallback around the seed
         def f(t: float) -> float:
-            return fdf(t)[0]
+            return outflow_k(G_k, dh, t)[0] - outflow_i(G_i, dh, t)[0]
 
         width = max(1.0, abs(seed))
         try:

@@ -116,6 +116,30 @@ class TestConsistency:
         with pytest.raises(TooFewPointsError, match="distinct"):
             isolate_by_consistency(pipes, [d, d])
 
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_too_few_distinct_points_are_counted(self, example1, count):
+        # no points, one, and two equal ones that are not the same object
+        pipes, leak, boundaries = example1
+        d = simulate_data(pipes, leak, boundaries[:1])[0]
+        data = [d, d.replace()][:count]
+        message = rf"^need at least 2 distinct data points to isolate, got {min(count, 1)}$"
+        with pytest.raises(TooFewPointsError, match=message):
+            isolate_by_consistency(pipes, data)
+
+    def test_nan_readings_are_told_apart_as_a_set_tells_them(self, example1):
+        # a NaN equals only itself: one NaN object read twice is one state, two are two
+        pipes, leak, boundaries = example1
+        d = simulate_data(pipes, leak, boundaries[:1])[0]
+        a, b = d.replace(q_in=float("nan")), d.replace(q_in=float("nan"))
+        for same in ([a, a], [a, a.replace()]):
+            assert len(set(same)) == 1
+            with pytest.raises(TooFewPointsError, match="got 1$"):
+                isolate_by_consistency(pipes, same)
+        assert len(set([a, b])) == 2
+        with pytest.warns(UserWarning, match="candidate position nan"):
+            verdict = isolate_by_consistency(pipes, [a, b])
+        assert verdict.reason == "no pipe has a consistent candidate position"
+
     def test_no_leak_point_rejected(self, example1):
         pipes, _, _ = example1
         data = [DataPoint(2.0, 1.0, 3.0, 3.0), DataPoint(3.0, 1.0, 4.0, 3.5)]

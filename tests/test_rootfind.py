@@ -1,23 +1,29 @@
+import math
 import sys
 from decimal import Decimal
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracle
+from conftest import simulate_data
 
 from leakscope import (
     FixedDemand,
     LeakSpec,
     Linear,
+    PartialDataPoint,
     PipeSet,
     PowerLaw,
     PowerLawLeak,
     QuadraticPlusLinear,
+    complete_data_point,
     solve_leaky_state,
 )
 import leakscope
-from leakscope.rootfind import XTOL, NoRootError, brent, expand_bracket
+from leakscope import hydraulics, localization
+from leakscope.rootfind import MAX_ITER, XTOL, NoRootError, brent, expand_bracket, newton
 
 EPS = sys.float_info.epsilon
 
@@ -173,3 +179,148 @@ def test_newton_solve_below_the_leak_elevation_fails(law, x, h_y, depth, drop):
     leak = LeakSpec(1, x, PowerLawLeak(1.0, 0.5, h_y))
     with pytest.raises(NoRootError, match="does not exceed the leak elevation"):
         solve_leaky_state(PipeSet((law,)), leak, h_in, h_in - drop)
+
+
+# -- newton takes the steps of its min/max form, to the bit -----------------------
+
+
+def minmax_newton(fdf, x):
+    """`newton` written with builtin min and max and tuple assignments: the reference
+    whose evaluation points, and result or exception, `newton` must match to the bit."""
+    lo, hi, last, newt, k, f0 = -math.inf, math.inf, EPS * abs(x), math.nan, math.nan, math.inf
+    for _ in range(MAX_ITER):
+        fx, dfx = fdf(x)
+        dx = -fx / dfx if 0.0 < abs(dfx) < math.inf else math.copysign(math.inf, fx) if fx else 0.0
+        tol, k0, k = 2.0 * EPS * abs(x) + 0.5 * XTOL, k, abs(dx / newt / newt)
+        converged = not fx or abs(fx) <= 0.5 * f0 and abs(dx) <= min(tol, abs(last)) or (
+            k0 <= 2 * k <= 4 * k0 and k * abs(newt) <= 0.01 and k * dx * dx <= tol)
+        lo, hi = (x, hi) if dx > 0.0 else (lo, x)
+        if converged or hi - lo <= 2.0 * tol:
+            return min(max(x + dx, lo), hi)
+        dx = max(-16 * abs(x) - 16, min(dx, 16 * abs(x) + 16)) if hi - lo == math.inf else dx
+        is_newton = hi - lo == math.inf or lo < x + dx < hi and abs(dx) <= 0.5 * abs(last)
+        last, newt, f0 = (dx, dx, abs(fx)) if is_newton else (
+            0.5 * (lo + hi) - x, math.nan, math.nan)
+        x += last
+    return x
+
+
+class Cubic:
+    """f = -(a t^3 + b t), t = x - r: strictly decreasing, with a flat root when b = 0."""
+
+    def __init__(self, a, b, r):
+        self.a, self.b, self.r = a, b, r
+
+    def __call__(self, x):
+        t = x - self.r
+        return -(self.a * t * t * t + self.b * t), -(3.0 * self.a * t * t + self.b)
+
+    def __repr__(self):
+        return f"Cubic({self.a!r}, {self.b!r}, {self.r!r})"
+
+
+def _power(base, p):
+    try:
+        return base**p
+    except (OverflowError, ZeroDivisionError):  # past the float range, or 0 to a negative power
+        return math.inf
+
+
+class Power:
+    """f = -c sign(t) |t|^p, t = x - r: its slope is unbounded at the root for p < 1."""
+
+    def __init__(self, c, p, r):
+        self.c, self.p, self.r = c, p, r
+
+    def __call__(self, x):
+        t = x - self.r
+        size, rate = _power(abs(t), self.p), _power(abs(t), self.p - 1.0)
+        return -self.c * math.copysign(size, t), -self.c * self.p * rate
+
+    def __repr__(self):
+        return f"Power({self.c!r}, {self.p!r}, {self.r!r})"
+
+
+class _Captured(Exception):
+    """Not a ValueError, which the solvers catch."""
+
+
+def newton_call(module, solve, *args):
+    """The (fdf, start) that `solve(*args)` hands to `module.newton`."""
+
+    def capture(fdf, x):
+        raise _Captured(fdf, x)
+
+    with mock.patch.object(module, "newton", capture):
+        try:
+            solve(*args)
+        except _Captured as call:
+            return call.args
+    raise AssertionError(f"{solve.__name__} called no newton")
+
+
+def newton_steps(solver, fdf, glitches, x):
+    """The float.hex of every point `solver` evaluates fdf at, then of its result, or the
+    type and message of what it raises. `glitches` maps an evaluation's index to the
+    (0 for f, 1 for f') and value that replace what fdf returns there."""
+    points = []
+
+    def traced(t):
+        values = list(fdf(t))
+        if len(points) in glitches:
+            which, value = glitches[len(points)]
+            values[which] = value
+        points.append(t.hex())
+        return tuple(values)
+
+    try:
+        return points, solver(traced, x).hex()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return points, (type(exc), str(exc))
+
+
+ROOTS = st.floats(-1e3, 1e3) | st.sampled_from([0.0, 1e-300, -1e-300])
+COEFFICIENTS = st.just(0.0) | st.floats(1e-3, 1e3)
+EXPONENTS = st.floats(0.2, 3.0) | st.sampled_from([0.5, 1.0, 2.0])
+SHAPES = st.one_of(
+    st.builds(Cubic, COEFFICIENTS, COEFFICIENTS, ROOTS).filter(lambda f: f.a or f.b),
+    st.builds(Power, st.floats(1e-3, 1e3), EXPONENTS, ROOTS),
+)
+STARTS = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]) | st.floats(-1e6, 1e6)
+# f' of 0, NaN or +-inf, or f of NaN, at chosen evaluations
+GLITCHES = st.dictionaries(
+    st.integers(0, 12),
+    st.tuples(st.just(1), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+    | st.just((0, math.nan)),
+    max_size=3,
+)
+
+
+def _missing_head_at_a_zero_section_flow():
+    pipes = PipeSet((PowerLaw(0.5, 0.5), PowerLaw(0.5, 0.5)))
+    leak, dh = LeakSpec(1, 0.5, FixedDemand(0.0)), 5.960464477539063e-08
+    d = simulate_data(pipes, leak, [(dh, 0.0)])[0]
+    p = PartialDataPoint(**{**d._asdict(), "h_in": None})
+    return newton_call(localization, complete_data_point, pipes, 1, 0.5, p)
+
+
+@settings(max_examples=400, deadline=None)
+@given(problem=st.tuples(SHAPES, STARTS), glitches=GLITCHES)
+# the dh = 0 state whose bisection lands next to both section zeros
+@example(
+    problem=newton_call(
+        hydraulics, solve_leaky_state, PipeSet((PowerLaw(1.0, 2.0), Linear(0.3))),
+        LeakSpec(1, 0.5, PowerLawLeak(3.0, 1.0, -1.0)), 7.25e-179, 7.25e-179,
+    ),
+    glitches={},
+)
+# the missing head where a gamma = 0.5 section flow is 0
+@example(problem=_missing_head_at_a_zero_section_flow(), glitches={})
+@example(problem=(Cubic(1.0, 0.0, 0.75), 0.75), glitches={})  # a start at the root
+@example(problem=(Cubic(1.0, 2.0, 0.75), math.nan), glitches={})
+# a NaN step before anything bounds the root, which the 16 (|x| + 1) clamp must keep as
+# min and max would: min(NaN, 16) is NaN, and max(-16, NaN) is -16
+@example(problem=(Power(2.0, 0.5, 3.0), 1.0), glitches={0: (0, math.nan)})
+def test_newton_steps_match_the_minmax_form(problem, glitches):
+    fdf, x = problem
+    assert newton_steps(newton, fdf, glitches, x) == newton_steps(minmax_newton, fdf, glitches, x)

@@ -7,7 +7,7 @@ import warnings
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from conftest import simulate_data
@@ -38,7 +38,7 @@ from leakscope import (
 )
 from leakscope import sensitivity
 from leakscope.cli import main as cli_main
-from leakscope.localization import _outflow
+from leakscope.localization import _outflow, _require_outlet
 
 
 class TestSectionResistances:
@@ -298,9 +298,9 @@ def test_confusion_curve_evaluation_counts(tmp_path, monkeypatch):
         fallbacks[0] += 1
         return expand(*args, **kwargs)
 
-    def counted_solve(fdf, seed):
+    def counted_solve(outflow_k, outflow_i, G_k, G_i, dh, seed):
         before = calls[0], fallbacks[0]
-        result = solve(fdf, seed)
+        result = solve(outflow_k, outflow_i, G_k, G_i, dh, seed)
         points.append(((calls[0] - before[0]) / 2, fallbacks[0] > before[1]))
         return result
 
@@ -319,6 +319,109 @@ def test_confusion_curve_evaluation_counts(tmp_path, monkeypatch):
     # only pipe 2's last point below the nominal head loss, dh 3.0, falls back;
     # test_cli's strict xfail pins where it lands
     assert [n for n, (_, fell_back) in enumerate(points) if fell_back] == [60]
+
+
+def _closure_solve_point(fdf, seed):
+    """`sensitivity._solve_point` written on a closure fdf(q) = (f, f'), for `closure_curve`."""
+    q = seed
+    fq, slope = fdf(q)
+    for _ in range(sensitivity.CURVE_MAX_ITER):
+        if abs(fq) <= sensitivity.CURVE_TOL or not 0.0 < abs(slope) < math.inf:
+            break
+        delta = -fq / slope
+        for _ in range(50):
+            q_new = q + delta
+            f_new, s_new = fdf(q_new)
+            if abs(f_new) < abs(fq):
+                q, fq, slope = q_new, f_new, s_new
+                break
+            delta *= 0.5
+        else:
+            break
+    if abs(fq) > sensitivity.CURVE_TOL:
+
+        def f(t):
+            return fdf(t)[0]
+
+        width = max(1.0, abs(seed))
+        try:
+            q = sensitivity.brent(f, *sensitivity.expand_bracket(f, seed - width, seed + width))
+            fq = f(q)
+        except sensitivity.NoRootError:
+            pass
+    return q, fq, abs(fq) <= sensitivity.CURVE_TOL
+
+
+def closure_curve(pipes, i, x_i, truth, dh_grid, seed_qin):
+    """`confusion_flow_curve` with a closure built at every grid point: the reference
+    whose points, flags and residuals the curve must match to the bit."""
+    k, x = truth.k, truth.x
+    _require_outlet(i, x_i)
+    outflow_k, outflow_i = _outflow(pipes.pipe(k), x), _outflow(pipes.pipe(i), x_i)
+    q_vals, residuals, flags, seed = [], [], [], seed_qin
+    for dh in dh_grid:
+        G = pipes.admittances_excluding(dh)
+
+        def fdf(q, dh=dh, G_k=G[k - 1], G_i=G[i - 1]):
+            out_k, slope_k = outflow_k(G_k, dh, q)
+            out_i, slope_i = outflow_i(G_i, dh, q)
+            return out_k - out_i, slope_k - slope_i
+
+        q, res, ok = _closure_solve_point(fdf, seed)
+        q_vals.append(q)
+        residuals.append(abs(res))
+        flags.append(ok)
+        if ok:
+            seed = q
+    return sensitivity.ConfusionFlowCurve(
+        i, tuple(dh_grid), tuple(q_vals), tuple(residuals), tuple(flags)
+    )
+
+
+def curve_bits(curve_of, *args):
+    """Every point of a curve as float.hex, with its flag, or what building it raises."""
+    try:
+        curve = curve_of(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    return [
+        (dh.hex(), q.hex(), res.hex(), ok)
+        for dh, q, res, ok in zip(
+            curve.dh_grid, curve.q_in_conf, curve.residual_trace, curve.converged
+        )
+    ]
+
+
+@st.composite
+def mixed_curves(draw):
+    """A confusion curve's arguments on a mixed-law network through one of its states."""
+    pipes, leak, data = mixed_network(draw(st.integers(1, 6)), draw(st.integers(0, 10**6)))
+    nominal = draw(st.sampled_from(data))
+    i = draw(st.integers(1, pipes.n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # candidates outside (0,1)
+        x_i = candidate_position(pipes, i, nominal)
+    scales = draw(st.lists(st.floats(0.3, 2.0), min_size=1, max_size=12))
+    return pipes, i, x_i, leak, [nominal.dh * s for s in scales], nominal.q_in
+
+
+def _example2_across_the_fold():
+    # pipe 2 from dh 3.95 down to 2.5: at 3.0 its curve folds and the fallback
+    # takes it to the other branch, q_in -7.784
+    pipes = PipeSet(
+        (QuadraticPlusLinear(2.0), QuadraticPlusLinear(4.0), QuadraticPlusLinear(6.0))
+    )
+    leak = LeakSpec(1, 0.65, SqrtLeak())
+    nominal = simulate_data(pipes, leak, [(5.0, 1.0)])[0]
+    grid = [3.0 + 0.05 * s for s in range(19, -11, -1)]
+    return pipes, 2, candidate_position(pipes, 2, nominal), leak, grid, nominal.q_in
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_curves())
+@example(_example2_across_the_fold())
+def test_curve_keeps_the_closure_loops_points(args):
+    assert curve_bits(confusion_flow_curve, *args) == curve_bits(closure_curve, *args)
 
 
 # example2's confusion and residual-sweep CSVs, pinned to the bit: the sha256
