@@ -6,6 +6,10 @@ so the inverse exists everywhere, and every law inverts in closed form.
 There are two law classes: `PowerLaw` and `QuadraticPlusLinear`. `Linear`
 and `SignedQuadratic` are constructors for the power laws with gamma = 1
 and gamma = 2, so equal laws compare equal however they are spelled.
+`localization._outflow` is the one other place the laws' `evaluate` and
+`invert` formulas are written, inline in one outflow map per law class; the
+property `test_outflow_map_matches_the_per_call_formula` keeps the two bit
+for bit equal.
 """
 
 from __future__ import annotations
@@ -81,7 +85,8 @@ class HeadLossFn:
 
     Each law provides `evaluate`, a closed-form `invert`, `derivative` and
     `shape_key`, a canonical shape identifier: two laws with equal keys
-    differ by a positive constant factor.
+    differ by a positive constant factor. The flow-space outflow maps take
+    only the two law classes below, whose formulas they write inline.
     """
 
     __slots__ = ()

@@ -9,7 +9,8 @@ A confusion-curve point solves for the q_in at which the true leak and pipe
 i's hypothesis imply the same outflow, by Newton steps on the exact slope
 that each hypothesis's map from `localization._outflow`, built once per
 curve, returns with each outflow: minus the `SectionResistances.ratio` that
-`residual_differential` differences.
+`residual_differential` differences. There is one map per law class, which
+writes the law's formulas inline, so a point makes no law-method calls.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """50-digit reference roots for the float solvers, from the standard library's
-`decimal`: the forward leak head and a completed missing head.
+`decimal`: the forward leak head, a completed missing head and a
+confusion-curve point.
 
 Each float input converts to a Decimal exactly, every law and leak law is
-evaluated at 50 significant digits, and the root of the strictly decreasing
-equation is bracketed from a seed by doubling steps and then narrowed by the
+evaluated at 50 significant digits, and the root of the equation is
+bracketed from a seed by doubling steps and then narrowed by the
 Illinois variant of regula falsi (Dowell and Jarratt 1971) until the bracket
 is 1e-40 (1 + |root|) wide. So a returned root is exact far below one ulp of
 any float near it.
@@ -53,6 +54,11 @@ def root(f, seed: Decimal) -> Decimal:
     while fhi > 0:  # the root lies above hi
         lo, flo, hi = hi, fhi, hi + step
         fhi, step = f(hi), 2 * step
+    return _narrow(f, lo, hi, flo, fhi)
+
+
+def _narrow(f, lo: Decimal, hi: Decimal, flo: Decimal, fhi: Decimal) -> Decimal:
+    """The root of f in [lo, hi], where flo = f(lo) >= 0 >= f(hi) = fhi."""
     kept = 0  # the side kept by the last step: -1 for lo, 1 for hi
     for _ in range(1000):
         if flo == 0 or fhi == 0 or hi - lo <= WIDTH * (1 + abs(lo)):
@@ -65,7 +71,7 @@ def root(f, seed: Decimal) -> Decimal:
         else:
             hi, fhi = m, fm
             flo, kept = flo / 2 if kept == -1 else flo, -1
-    raise AssertionError(f"no 50-digit root within 1000 steps of {seed}")
+    raise AssertionError(f"no 50-digit root within 1000 steps in [{lo}, {hi}]")
 
 
 def forward_leak_head(pipes, leak, h_in: float, h_out: float) -> Decimal:
@@ -101,3 +107,54 @@ def completed_head(pipes, j: int, x_j: float, p) -> Decimal:
             return root(lambda h: -residual(h - h_out), h_out)
         h_in = Decimal(p.h_in)  # dh = h_in - h falls with h
         return root(lambda h: residual(h_in - h), h_in)
+
+
+def outflow(law, x: Decimal, G: Decimal, dh: Decimal, q_in: Decimal) -> Decimal:
+    """The outflow that the hypothesis (law, x) implies from (dh, q_in), given
+    the flow G through every other pipe: the root of the pipe's head loss
+    x U(q_in - G) + (1 - x) U(q_out - G) = dh in q_out."""
+    return invert(law, (dh - x * evaluate(law, q_in - G)) / (1 - x)) + G
+
+
+def confusion_root(pipes, i: int, x_i: float, k: int, x: float, dh: float, q: float):
+    """The root q* nearest q of the confusion mismatch that
+    `sensitivity.confusion_flow_curve` zeroes at dh, the outflow of the truth
+    (pipe k at x) minus that of the hypothesis (pipe i at x_i) as a function
+    of q_in, and the mismatch's slope there, as (q*, f'(q*)).
+
+    A bracket grows by doubling on both sides of q until f changes sign
+    across it; a mismatch that is 0 at q, as where i = k and x_i = x, makes q
+    itself the root, with slope 0."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        dh, q = Decimal(dh), Decimal(q)
+
+        def flow_excluding(j):
+            others = (law for n, law in enumerate(pipes.pipes, 1) if n != j)
+            return sum((invert(law, dh) for law in others), Decimal(0))
+
+        U_k, U_i = pipes.pipe(k), pipes.pipe(i)
+        x_k, x_i = Decimal(x), Decimal(x_i)
+        G_k, G_i = flow_excluding(k), flow_excluding(i)
+
+        def f(t):
+            return outflow(U_k, x_k, G_k, dh, t) - outflow(U_i, x_i, G_i, dh, t)
+
+        fq = f(q)
+        if fq == 0:
+            return q, Decimal(0)
+        g = f if fq > 0 else lambda t: -f(t)  # g(q) = |f(q)| > 0
+        step = WIDTH * (1 + abs(q))
+        for _ in range(300):
+            below, above = g(q - step), g(q + step)
+            if below <= 0:  # g rises across [q - step, q]
+                found = _narrow(lambda t: -g(t), q - step, q, -below, -abs(fq))
+                break
+            if above <= 0:  # g falls across [q, q + step]
+                found = _narrow(g, q, q + step, abs(fq), above)
+                break
+            step *= 2
+        else:
+            raise AssertionError(f"the mismatch keeps its sign within 1e50 of {q}")
+        h = Decimal("1e-20") * (1 + abs(found))
+        return found, (f(found + h) - f(found - h)) / (2 * h)

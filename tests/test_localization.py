@@ -24,6 +24,7 @@ from leakscope import (
     all_candidates,
     candidate_position,
     complete_data_point,
+    confusion_flow_curve,
     estimate_outflow,
     isolate_by_consistency,
     measure,
@@ -31,6 +32,7 @@ from leakscope import (
     residual_bar,
     solve_leaky_state,
 )
+from leakscope.headloss import HeadLossFn
 from leakscope.localization import _outflow
 from leakscope.rootfind import XTOL
 
@@ -185,13 +187,14 @@ class TestEstimateOutflow:
 
 
 def _outflow_per_call(U_j, x_j, G, dh, q_in):
-    """The outflow and its q_in-slope with every term formed at each call: the
-    formula that the map of `_outflow(U_j, x_j)` must reproduce bit for bit."""
+    """The outflow and its q_in-slope with every term formed at each call and the
+    law's own `evaluate` and `invert`: the formula that the map of
+    `_outflow(U_j, x_j)` must reproduce bit for bit."""
     a = q_in - G
     head_in = U_j.evaluate(a)
     head_out = dh / (1.0 - x_j) - (x_j / (1.0 - x_j)) * head_in
     b = U_j.invert(head_out)
-    if getattr(U_j, "gamma", 0):
+    if isinstance(U_j, PowerLaw):
         den = a * head_out
         ratio = head_in * b / den if den else math.nan
     else:
@@ -199,17 +202,31 @@ def _outflow_per_call(U_j, x_j, G, dh, q_in):
     return b + G, -x_j / (1.0 - x_j) * ratio
 
 
-def _same_bits(got: float, want: float) -> bool:
-    return math.isnan(got) if math.isnan(want) else got.hex() == want.hex()
+def _outcome(fn, *args):
+    """What fn(*args) returns as float.hex, NaN as one value, or the type and
+    message of what it raises."""
+    try:
+        values = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    return ["nan" if math.isnan(v) else v.hex() for v in values]
 
 
-_flows = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+_flows = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(-1e6, 1e6),
+    st.floats(-1e300, 1e300),
+)
 
 
 @settings(max_examples=400, deadline=None)
 @given(
     st.one_of(
-        st.builds(PowerLaw, st.floats(0.01, 100.0), st.sampled_from([0.5, 1.0, 1.85, 2.0])),
+        st.builds(
+            PowerLaw,
+            st.floats(0.01, 100.0),
+            st.sampled_from([0.5, 1.0, 1.85, 2.0]) | st.floats(0.3, 3.0),
+        ),
         st.builds(QuadraticPlusLinear, st.floats(0.01, 100.0)),
     ),
     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -220,10 +237,67 @@ _flows = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
 @example(Linear(1.0), 0.5, 0.0, 0.0, 0.0)  # 0/0: a NaN slope
 @example(QuadraticPlusLinear(2.0), 0.5, 0.0, 0.0, 0.0)
 @example(SignedQuadratic(1.0), 0.25, 1.0, 0.0, 1.0)  # a = 0 on a power law
+@example(SignedQuadratic(0.3), 0.5, 0.0, 1.0, 0.7)  # c |a| a rounds unlike c (|a| a)
+@example(PowerLaw(1.0, 3.0), 0.5, 0.0, 1.0, 1e200)  # evaluate's power overflows
+@example(PowerLaw(1.0, 0.5), 0.5, 0.0, 1e300, 1.0)  # invert's power overflows
+@example(PowerLaw(1.0, 1.85), 0.5, 1.0, math.nan, math.inf)
 def test_outflow_map_matches_the_per_call_formula(U_j, x_j, G, dh, q_in):
-    got = _outflow(U_j, x_j)(G, dh, q_in)
-    want = _outflow_per_call(U_j, x_j, G, dh, q_in)
-    assert all(map(_same_bits, got, want)), (got, want)
+    # the same bits, or the same exception: the law's ValueError where a power
+    # leaves the float range
+    got = _outcome(_outflow(U_j, x_j), G, dh, q_in)
+    assert got == _outcome(_outflow_per_call, U_j, x_j, G, dh, q_in)
+
+
+class _Cubic(HeadLossFn):
+    """U(q) = c q^3, a law of a class that has no outflow map."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def evaluate(self, q):
+        return self.c * q**3
+
+    def invert(self, h):
+        return math.copysign(abs(h / self.c) ** (1.0 / 3.0), h)
+
+    def derivative(self, q):
+        return 3.0 * self.c * q * q
+
+    def shape_key(self):
+        return ("cubic",)
+
+
+class _ScaledPowerLaw(PowerLaw):
+    """A power law whose own `evaluate` doubles the base formula."""
+
+    __slots__ = ()
+
+    def evaluate(self, q):
+        return 2.0 * super().evaluate(q)
+
+    def invert(self, h):
+        return super().invert(0.5 * h)
+
+
+@pytest.mark.parametrize("law", [_Cubic(0.5), _ScaledPowerLaw(0.5, 1.85)], ids=["cubic", "subclass"])
+def test_a_law_of_another_class_has_no_outflow_map(law):
+    # the maps write PowerLaw's and QuadraticPlusLinear's formulas inline, so any
+    # other class, a subclass included, is refused where a map is built, not
+    # given another law's outflow and slope
+    pipes = PipeSet((law, SignedQuadratic(0.1)))
+    leak = LeakSpec(1, 0.4, SqrtLeak())
+    name = type(law).__name__
+    with pytest.raises(TypeError, match=f"no outflow map for the loss law class {name}"):
+        _outflow(law, 0.4)
+    # the forward solve does not build a map, and still converges on the law
+    d = simulate_data(pipes, leak, [(5.0, 1.0)])[0]
+    assert abs(residual(pipes, 1, 0.4, d)) <= 1e-9
+    with pytest.raises(TypeError, match=name):
+        estimate_outflow(pipes, 1, 0.4, d.dh, d.q_in)
+    with pytest.raises(TypeError, match=name):
+        confusion_flow_curve(pipes, 2, 0.5, leak, [d.dh], d.q_in)
+    with pytest.raises(TypeError, match=name):
+        confusion_flow_curve(pipes, 1, 0.5, LeakSpec(2, 0.4, SqrtLeak()), [d.dh], d.q_in)
 
 
 class TestCompleteDataPoint:

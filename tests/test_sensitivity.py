@@ -37,7 +37,8 @@ from leakscope import (
     zero_dh_sensitivity,
 )
 from leakscope import sensitivity
-from leakscope.cli import main as cli_main
+from leakscope.cli import _nominal_point, main as cli_main
+from leakscope.scenario import parse_scenario
 from leakscope.localization import _outflow, _require_outlet
 
 
@@ -455,6 +456,29 @@ def test_example2_curves_and_sweep_keep_their_bits(tmp_path):
         if row["pipe"] == "2" and row["dh"] in EXAMPLE2_PIPE2_POINTS
     }
     assert pipe2 == EXAMPLE2_PIPE2_POINTS
+
+
+def test_example2_curve_points_are_within_tolerance_of_the_oracle(tmp_path):
+    # every converged point of the three CLI curves, the fallback's landing at
+    # pipe 2's dh 3.0 included: that point sits on another branch, but it is a
+    # root too. A point with |f| <= CURVE_TOL lies within CURVE_TOL/|f'| of a
+    # root, doubled for the rounding of f and the curvature, plus 4 eps |q|
+    scenario = str(bundled_scenario("example2"))
+    assert cli_main(["confusion", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+    sc = parse_scenario(scenario)
+    _, frozen, _ = _nominal_point(sc)
+    k, x = sc.leak.k, sc.leak.x
+    with open(tmp_path / "confusion.csv", newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["converged"] == "true"]
+    assert len(rows) == 3 * 41
+    for row in rows:
+        i, dh, q = int(row["pipe"]), float(row["dh"]), float(row["q_in_conf"])
+        root, slope = oracle.confusion_root(sc.pipes, i, frozen[i - 1], k, x, dh, q)
+        # |q - q*| <= 2 CURVE_TOL/|f'| + 4 eps |q|, multiplied through by |f'|: pipe
+        # 1 is the truth at its own x, whose mismatch is 0 at every q_in
+        eps, curve_tol = Decimal(sys.float_info.epsilon), Decimal(sensitivity.CURVE_TOL)
+        tol = 2 * curve_tol + 4 * eps * abs(Decimal(q)) * abs(slope)
+        assert abs(Decimal(q) - root) * abs(slope) <= tol, (i, dh, q, root)
 
 
 class TestZeroDhSensitivity:
