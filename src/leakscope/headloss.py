@@ -1,22 +1,20 @@
 """Pipe head loss laws, admittance sums over a set of parallel pipes, and
 the pipe pairs whose laws no data can tell apart.
 
-All loss laws are odd, strictly increasing bijections of the real line,
-so the inverse exists everywhere, and every law inverts in closed form.
-There are two law classes: `PowerLaw` and `QuadraticPlusLinear`. `Linear`
-and `SignedQuadratic` are constructors for the power laws with gamma = 1
-and gamma = 2, so equal laws compare equal however they are spelled.
-`localization._outflow` is the one other place the laws' `evaluate` and
-`invert` formulas are written, inline in one outflow map per law class; the
-property `test_outflow_map_matches_the_per_call_formula` keeps the two bit
-for bit equal.
+All loss laws are odd, strictly increasing bijections of the real line. The law
+classes are a closed set, `PowerLaw` and `QuadraticPlusLinear`, whose formulas
+are all written here; `PipeSet` refuses any other. `Linear` and
+`SignedQuadratic` build the power laws with gamma = 1 and 2, so equal laws
+compare equal however spelled. `test_outflow_map_matches_the_per_call_formula`
+keeps the outflow maps' inline `evaluate` and `invert` bit for bit equal.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from itertools import accumulate, combinations
+from math import copysign, nan, sqrt
 from operator import add, attrgetter
 
 
@@ -81,12 +79,15 @@ class UnboundedDerivativeError(ValueError):
 
 
 class HeadLossFn:
-    """Base class for odd, strictly increasing flow -> head-loss laws.
+    """Base of the two loss law classes, `QuadraticPlusLinear` and `PowerLaw`.
 
-    Each law provides `evaluate`, a closed-form `invert`, `derivative` and
-    `shape_key`, a canonical shape identifier: two laws with equal keys
-    differ by a positive constant factor. The flow-space outflow maps take
-    only the two law classes below, whose formulas they write inline.
+    Each writes `evaluate`, a closed-form `invert`, `derivative`, `shape_key`
+    (equal keys: laws that differ by a positive factor) and two maps built once
+    per leak position. `outflow_map(x_j)`, x_j < 1: (G, dh, q_in) -> the outflow
+    implied, given the flow G through the other pipes, and its q_in-slope
+    -x_j/(1 - x_j) U'(a)/U'(b) at the section flows a, b (NaN where one is 0).
+    `section_map(x)`: (head_in, head_out) -> their section flows, by `invert`,
+    and 1/(x U'(q_in)) + 1/((1 - x) U'(q_out)) (NaN where either head is 0).
     """
 
     __slots__ = ()
@@ -122,6 +123,30 @@ class QuadraticPlusLinear(HeadLossFn, Value):
 
     def shape_key(self) -> tuple:
         return ("quadratic_plus_linear",)
+
+    def outflow_map(self, x_j: float) -> Callable[..., tuple[float, float]]:
+        c, w = self._c, 1.0 - x_j
+        r, m = x_j / w, -x_j / w
+
+        def outflow(G: float, dh: float, q_in: float) -> tuple[float, float]:
+            a = q_in - G
+            head_in = c * (a * abs(a) + a)
+            head_out = dh / w - r * head_in
+            s = abs(head_out) / c
+            b = copysign(s / (0.5 + sqrt(0.25 + s)), head_out)
+            return b + G, m * ((2.0 * abs(a) + 1.0) / (2.0 * abs(b) + 1.0))
+
+        return outflow
+
+    def section_map(self, x: float) -> Callable[..., tuple[float, float, float]]:
+        invert, x1, c = self.invert, 1.0 - x, self._c
+
+        def section(head_in: float, head_out: float) -> tuple[float, float, float]:
+            q_in, q_out = invert(head_in / x), invert(head_out / x1)
+            s = (1.0 / (x * (2.0 * abs(q_in) + 1.0)) + 1.0 / (x1 * (2.0 * abs(q_out) + 1.0))) / c
+            return q_in, q_out, s if head_in and head_out else nan
+
+        return section
 
 
 class PowerLaw(HeadLossFn, Value):
@@ -171,6 +196,48 @@ class PowerLaw(HeadLossFn, Value):
     def shape_key(self) -> tuple:
         return ("power", self._gamma)
 
+    def outflow_map(self, x_j: float) -> Callable[..., tuple[float, float]]:
+        c, gamma, w = self._c, self._gamma, 1.0 - x_j
+        r, m = x_j / w, -x_j / w
+        # U'(a)/U'(b) = (U(a)/a)/(U(b)/b) on a power law, from the values at hand
+        if gamma == 2.0:
+
+            def outflow(G: float, dh: float, q_in: float) -> tuple[float, float]:
+                a = q_in - G
+                head_in = c * abs(a) * a
+                head_out = dh / w - r * head_in
+                b = copysign(sqrt(abs(head_out) / c), head_out)
+                den = a * head_out
+                return b + G, m * (head_in * b / den if den else nan)
+
+            return outflow
+        inv = 1.0 / gamma
+
+        def outflow(G: float, dh: float, q_in: float) -> tuple[float, float]:
+            a = q_in - G
+            try:
+                head_in = copysign(c * abs(a) ** gamma, a)
+                head_out = dh / w - r * head_in
+                b = copysign((abs(head_out) / c) ** inv, head_out)
+            except OverflowError:  # the law's own methods raise its ValueError
+                self.invert(dh / w - r * self.evaluate(a))
+                raise
+            den = a * head_out
+            return b + G, m * (head_in * b / den if den else nan)
+
+        return outflow
+
+    def section_map(self, x: float) -> Callable[..., tuple[float, float, float]]:
+        invert, x1, gamma = self.invert, 1.0 - x, self._gamma
+
+        def section(head_in: float, head_out: float) -> tuple[float, float, float]:
+            q_in, q_out = invert(head_in / x), invert(head_out / x1)
+            # 1/(w U'(q)) on a share w of the pipe is q/(gamma head) at head = w U(q)
+            s = (q_in / head_in + q_out / head_out) / gamma if head_in and head_out else nan
+            return q_in, q_out, s
+
+        return section
+
 
 def Linear(R: float) -> PowerLaw:
     """U(q) = R q, the power law with gamma = 1."""
@@ -194,6 +261,9 @@ class PipeSet(Value):
         pipes = tuple(pipes)
         if len(pipes) < 1:
             raise ValueError("need at least one pipe")
+        for p in pipes:
+            if type(p) not in (PowerLaw, QuadraticPlusLinear):
+                raise TypeError(f"loss law class {type(p).__name__} is not PowerLaw or QuadraticPlusLinear")
         self._pipes = pipes
 
     @property

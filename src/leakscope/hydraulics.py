@@ -113,29 +113,24 @@ def solve_leaky_state(
     Root variable is the head at the leak: the section-flow mismatch
     f(h) = U_k^-1((h_in - h)/x) - U_k^-1((h - h_out)/(1-x)) - g(h)
     is strictly decreasing, so the root is unique. Newton from the zero-leak head
-    h_in - x dh takes f' = -1/(x U_k'(q_in)) - 1/((1-x) U_k'(q_out)) - g'(h) from
-    f's values. At dh = 0 both section heads vanish there, so it starts from the
-    linear-split head h_in - x U_k((1-x) g(h_in)), exact for a linear law and a
-    fixed demand.
+    h_in - x dh takes f' = -1/(x U_k'(q_in)) - 1/((1-x) U_k'(q_out)) - g'(h), with
+    the flows and the first two terms from the law's `section_map(x)`. At dh = 0 both
+    section heads vanish there, so it starts from the linear-split head
+    h_in - x U_k((1-x) g(h_in)), exact for a linear law and a fixed demand.
     """
     if leak.k > pipes.n:
         raise ValueError(f"leaking pipe {leak.k} out of range 1..{pipes.n}")
     U_k, fn, x = pipes.pipe(leak.k), leak.leak, leak.x
-    invert, leak_flow, x1, gamma, c = U_k.invert, fn.flow, 1.0 - x, getattr(U_k, "gamma", 0), U_k.c
+    section, leak_flow = U_k.section_map(x), fn.flow
     beta, h_y = (fn.beta, fn.h_y) if isinstance(fn, PowerLawLeak) else (0.0, -math.inf)
 
     def mismatch(h: float) -> tuple[float, float]:
-        head_in, head_out = h_in - h, h - h_out
-        q_in_k, q_out_k = invert(head_in / x), invert(head_out / x1)
+        q_in_k, q_out_k, slope = section(h_in - h, h - h_out)
         g = leak_flow(h)
-        # 1/(w U'(q)) on a share w of the pipe: q/(gamma head), or 1/(c w (2|q| + 1))
-        slope = math.nan if not (head_in and head_out) else (  # no finite slope at a head of 0
-            (q_in_k / head_in + q_out_k / head_out) / gamma if gamma else
-            (1.0 / (x * (2.0 * abs(q_in_k) + 1.0)) + 1.0 / (x1 * (2.0 * abs(q_out_k) + 1.0))) / c)
         return q_in_k - q_out_k - g, -slope - (beta * g / (h - h_y) if g else 0.0)
 
     try:
-        h_leak = newton(mismatch, h_in - x * (h_in - h_out or U_k.evaluate(x1 * leak_flow(h_in))))
+        h_leak = newton(mismatch, h_in - x * (h_in - h_out or U_k.evaluate((1.0 - x) * leak_flow(h_in))))
     except ValueError as exc:  # no sign change, or a flow beyond the float range
         raise NoRootError(f"no leak head balances the boundary heads: {exc}") from exc
 
@@ -145,7 +140,7 @@ def solve_leaky_state(
             f"{h_y}; the leak law is inconsistent with these boundary heads"
         )
 
-    q_in_k, q_out_k = invert((h_in - h_leak) / x), invert((h_leak - h_out) / x1)
+    q_in_k, q_out_k, _ = section(h_in - h_leak, h_leak - h_out)
     # by position: keywords cost more, and this runs once per state
     return HydraulicState(h_in, h_out, q_in_k, q_out_k, h_leak)
 

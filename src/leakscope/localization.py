@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable
 from itertools import repeat
-from math import copysign, nan, sqrt
 
-from .headloss import HeadLossFn, PipeSet, PowerLaw, QuadraticPlusLinear, Value
+from .headloss import HeadLossFn, PipeSet, Value
 from .hydraulics import DataPoint
 from .rootfind import newton
 
@@ -92,74 +90,11 @@ def _position(
 
 
 def _require_outlet(j: int, x_j: float) -> None:
-    """`_outflow` divides by 1 - x_j; its callers check x_j once with this."""
+    """An outflow map divides by 1 - x_j; its callers check x_j once with this."""
     if x_j == 1.0:
         raise ValueError(
             f"position 1 in pipe {j} leaves no outlet section; its outflow cannot be estimated"
         )
-
-
-def _outflow(U_j: HeadLossFn, x_j: float) -> Callable[..., tuple[float, float]]:
-    """The outflow map of the hypothesis (U_j, x_j); x_j must not be 1.
-
-    `outflow(G, dh, q_in)` is the pipe-j outflow implied by (dh, q_in), given
-    the flow G through all other pipes, and its slope in q_in,
-    -x_j/(1 - x_j) U_j'(a)/U_j'(b) for the section flows a and b. The slope is
-    NaN where a section flow is 0, and inf or 0 where the ratio leaves the
-    float range. The terms in x_j and the law's constants are fixed here, so
-    a caller builds the map once per hypothesis. Each law class has its own
-    map, which writes the law's `evaluate` and `invert` inline and calls no
-    law method; a law of any other class, a subclass included, raises
-    TypeError, since its methods are not the ones written here."""
-    w = 1.0 - x_j
-    r, m = x_j / w, -x_j / w
-    law = type(U_j)
-    if law is QuadraticPlusLinear:
-        c = U_j.c
-
-        def outflow(G: float, dh: float, q_in: float) -> tuple[float, float]:
-            a = q_in - G
-            head_in = c * (a * abs(a) + a)
-            head_out = dh / w - r * head_in
-            s = abs(head_out) / c
-            b = copysign(s / (0.5 + sqrt(0.25 + s)), head_out)
-            # U'(a)/U'(b) = (2|a| + 1)/(2|b| + 1)
-            return b + G, m * ((2.0 * abs(a) + 1.0) / (2.0 * abs(b) + 1.0))
-
-        return outflow
-    if law is not PowerLaw:
-        raise TypeError(
-            f"no outflow map for the loss law class {law.__name__}; "
-            "only PowerLaw and QuadraticPlusLinear laws have one"
-        )
-    c, gamma = U_j.c, U_j.gamma
-    # U'(a)/U'(b) = (U(a)/a)/(U(b)/b) on a power law, from the values at hand
-    if gamma == 2.0:
-
-        def outflow(G: float, dh: float, q_in: float) -> tuple[float, float]:
-            a = q_in - G
-            head_in = c * abs(a) * a
-            head_out = dh / w - r * head_in
-            b = copysign(sqrt(abs(head_out) / c), head_out)
-            den = a * head_out
-            return b + G, m * (head_in * b / den if den else nan)
-
-        return outflow
-    inv = 1.0 / gamma
-
-    def outflow(G: float, dh: float, q_in: float) -> tuple[float, float]:
-        a = q_in - G
-        try:
-            head_in = copysign(c * abs(a) ** gamma, a)
-            head_out = dh / w - r * head_in
-            b = copysign((abs(head_out) / c) ** inv, head_out)
-        except OverflowError:  # the law's own methods raise its ValueError
-            U_j.invert(dh / w - r * U_j.evaluate(a))
-            raise
-        den = a * head_out
-        return b + G, m * (head_in * b / den if den else nan)
-
-    return outflow
 
 
 def candidate_position(pipes: PipeSet, j: int, d: DataPoint) -> float:
@@ -183,7 +118,7 @@ def estimate_outflow(
 ) -> float:
     """Outflow implied by (dh, q_in) under the hypothesis (j, x_j)."""
     _require_outlet(j, x_j)
-    return _outflow(pipes.pipe(j), x_j)(pipes.admittance_excluding(j, dh), dh, q_in)[0]
+    return pipes.pipe(j).outflow_map(x_j)(pipes.admittance_excluding(j, dh), dh, q_in)[0]
 
 
 def residual_bar(pipes: PipeSet, j: int, x_j: float, d: DataPoint) -> float:

@@ -7,9 +7,9 @@ zero-head-loss sensitivity formula.
 
 A confusion-curve point solves for the q_in at which the true leak and pipe
 i's hypothesis imply the same outflow, by Newton steps on the exact slope
-that each hypothesis's map from `localization._outflow`, built once per
-curve, returns with each outflow: minus the `SectionResistances.ratio` that
-`residual_differential` differences. There is one map per law class, which
+that each hypothesis's `outflow_map`, built by its law once per curve,
+returns with each outflow: minus the `SectionResistances.ratio` that
+`residual_differential` differences. Each law class's map, in `headloss`,
 writes the law's formulas inline, so a point makes no law-method calls.
 """
 
@@ -19,7 +19,7 @@ import math
 
 from .headloss import PipeSet, UnboundedDerivativeError, Value
 from .hydraulics import DataPoint, LeakSpec
-from .localization import _outflow, _require_outlet
+from .localization import _require_outlet
 from .rootfind import NoRootError, brent, expand_bracket
 
 CURVE_TOL = 1e-10  # |residual| at which a confusion-curve point has converged
@@ -113,7 +113,7 @@ def confusion_flow_curve(
     k, x = truth.k, truth.x
     U_k, U_i = pipes.pipe(k), pipes.pipe(i)
     _require_outlet(i, x_i)
-    outflow_k, outflow_i = _outflow(U_k, x), _outflow(U_i, x_i)
+    outflow_k, outflow_i = U_k.outflow_map(x), U_i.outflow_map(x_i)
     q_vals: list[float] = []
     residuals: list[float] = []
     flags: list[bool] = []

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from leakscope import (
@@ -19,6 +21,16 @@ def simulate_data(pipes, leak, boundaries) -> list[DataPoint]:
         measure(solve_leaky_state(pipes, leak, h_in, h_out), pipes, leak)
         for h_in, h_out in boundaries
     ]
+
+
+def outcome(fn, *args):
+    """What fn(*args) returns as float.hex, NaN as one value, or the type and
+    message of what it raises."""
+    try:
+        values = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    return ["nan" if math.isnan(v) else v.hex() for v in values]
 
 
 def linspace(lo, hi, n):

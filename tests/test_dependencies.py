@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import pkgutil
@@ -138,3 +139,45 @@ def test_a_module_loaded_during_a_swap_keeps_no_copy_of_it():
         "for v in vars(m).values() if v is swapped])"
     )
     assert _python(code).strip() == "[]"
+
+
+# -- where the loss laws' formulas live -------------------------------------------
+
+LAW_CLASSES = {"PowerLaw", "QuadraticPlusLinear"}
+LAW_FIELDS = {"c", "gamma", "_c", "_gamma"}
+
+
+def _law_knowledge(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """The law class names a module's code names, and the law fields it reads,
+    by attribute or by a getattr-like call with a literal name."""
+    names, fields = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.update((node.name, node.asname))
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+            fields.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.args[1:]:
+            if node.func.id in {"getattr", "hasattr"} and isinstance(node.args[1], ast.Constant):
+                fields.add(node.args[1].value)
+    return names & LAW_CLASSES, fields & LAW_FIELDS
+
+
+def test_law_formulas_live_only_in_headloss():
+    # every formula of a law is a method of its class in headloss, so no other
+    # module tests a law's class or reads its constants; scenario's type table
+    # and the package's exports name the classes only to build and export them
+    modules = sorted((SRC / "leakscope").glob("*.py"))
+    assert len(modules) == len(SUBMODULES) + 1  # every submodule and __init__
+    found = {}
+    for path in modules:
+        classes, fields = _law_knowledge(ast.parse(path.read_text(), str(path)))
+        if path.name in {"headloss.py", "scenario.py", "__init__.py"}:
+            classes = set()
+        if path.name == "headloss.py":
+            fields = set()
+        if classes or fields:
+            found[path.name] = sorted(classes | fields)
+    assert found == {}

@@ -3,7 +3,8 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from conftest import outcome
+from hypothesis import example, given, settings, strategies as st
 
 from leakscope import (
     Linear,
@@ -212,6 +213,50 @@ class TestAdmittance:
         # gamma < 1 has unbounded slope at zero flow, so zero admittance slope
         pipes = PipeSet((PowerLaw(1.3, 0.6), Linear(0.5), Linear(0.25)))
         assert pipes.admittance_derivatives_excluding(0.0) == (6.0, 4.0, 2.0)
+
+
+def _section_per_call(U_k, x, head_in, head_out):
+    """The section flows by two `invert` calls and their slope by the per-call
+    expression branched on the law's `gamma` and `c`: the formula that the map of
+    `U_k.section_map(x)` must reproduce bit for bit."""
+    invert, x1, gamma, c = U_k.invert, 1.0 - x, getattr(U_k, "gamma", 0), U_k.c
+    q_in_k, q_out_k = invert(head_in / x), invert(head_out / x1)
+    # 1/(w U'(q)) on a share w of the pipe: q/(gamma head), or 1/(c w (2|q| + 1))
+    slope = math.nan if not (head_in and head_out) else (  # no finite slope at a head of 0
+        (q_in_k / head_in + q_out_k / head_out) / gamma if gamma else
+        (1.0 / (x * (2.0 * abs(q_in_k) + 1.0)) + 1.0 / (x1 * (2.0 * abs(q_out_k) + 1.0))) / c)
+    return q_in_k, q_out_k, slope
+
+
+_heads = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300]),
+    st.floats(-1e6, 1e6),
+    st.floats(-1e300, 1e300),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.builds(
+            PowerLaw,
+            st.floats(0.01, 100.0),
+            st.sampled_from([0.5, 1.0, 1.85, 2.0]) | st.floats(0.3, 3.0),
+        ),
+        st.builds(QuadraticPlusLinear, st.floats(0.01, 100.0)),
+    ),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    _heads,
+    _heads,
+)
+@example(Linear(1.0), 0.5, 0.0, 1.0)  # a zero head: a NaN slope
+@example(QuadraticPlusLinear(2.0), 0.3, 1.0, -0.0)
+@example(PowerLaw(1.0, 0.5), 0.5, 1e300, 1.0)  # invert's power overflows: ValueError
+def test_section_map_matches_the_per_call_formula(U_k, x, head_in, head_out):
+    # the same bits, or the same exception: the law's ValueError where a power
+    # leaves the float range
+    got = outcome(U_k.section_map(x), head_in, head_out)
+    assert got == outcome(_section_per_call, U_k, x, head_in, head_out)
 
 
 def test_pipeset_validation():

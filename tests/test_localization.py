@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle
-from conftest import simulate_data
+from conftest import outcome, simulate_data
 
 from leakscope import (
     DataPoint,
@@ -24,7 +24,6 @@ from leakscope import (
     all_candidates,
     candidate_position,
     complete_data_point,
-    confusion_flow_curve,
     estimate_outflow,
     isolate_by_consistency,
     measure,
@@ -33,7 +32,6 @@ from leakscope import (
     solve_leaky_state,
 )
 from leakscope.headloss import HeadLossFn
-from leakscope.localization import _outflow
 from leakscope.rootfind import XTOL
 
 EPS = sys.float_info.epsilon
@@ -189,7 +187,7 @@ class TestEstimateOutflow:
 def _outflow_per_call(U_j, x_j, G, dh, q_in):
     """The outflow and its q_in-slope with every term formed at each call and the
     law's own `evaluate` and `invert`: the formula that the map of
-    `_outflow(U_j, x_j)` must reproduce bit for bit."""
+    `U_j.outflow_map(x_j)` must reproduce bit for bit."""
     a = q_in - G
     head_in = U_j.evaluate(a)
     head_out = dh / (1.0 - x_j) - (x_j / (1.0 - x_j)) * head_in
@@ -200,16 +198,6 @@ def _outflow_per_call(U_j, x_j, G, dh, q_in):
     else:
         ratio = (2.0 * abs(a) + 1.0) / (2.0 * abs(b) + 1.0)
     return b + G, -x_j / (1.0 - x_j) * ratio
-
-
-def _outcome(fn, *args):
-    """What fn(*args) returns as float.hex, NaN as one value, or the type and
-    message of what it raises."""
-    try:
-        values = fn(*args)
-    except Exception as exc:  # noqa: BLE001 - compared, not handled
-        return type(exc), str(exc)
-    return ["nan" if math.isnan(v) else v.hex() for v in values]
 
 
 _flows = st.one_of(
@@ -244,12 +232,12 @@ _flows = st.one_of(
 def test_outflow_map_matches_the_per_call_formula(U_j, x_j, G, dh, q_in):
     # the same bits, or the same exception: the law's ValueError where a power
     # leaves the float range
-    got = _outcome(_outflow(U_j, x_j), G, dh, q_in)
-    assert got == _outcome(_outflow_per_call, U_j, x_j, G, dh, q_in)
+    got = outcome(U_j.outflow_map(x_j), G, dh, q_in)
+    assert got == outcome(_outflow_per_call, U_j, x_j, G, dh, q_in)
 
 
 class _Cubic(HeadLossFn):
-    """U(q) = c q^3, a law of a class that has no outflow map."""
+    """U(q) = c q^3, a law of a class outside the closed set."""
 
     def __init__(self, c):
         self.c = c
@@ -280,24 +268,16 @@ class _ScaledPowerLaw(PowerLaw):
 
 
 @pytest.mark.parametrize("law", [_Cubic(0.5), _ScaledPowerLaw(0.5, 1.85)], ids=["cubic", "subclass"])
-def test_a_law_of_another_class_has_no_outflow_map(law):
-    # the maps write PowerLaw's and QuadraticPlusLinear's formulas inline, so any
-    # other class, a subclass included, is refused where a map is built, not
-    # given another law's outflow and slope
-    pipes = PipeSet((law, SignedQuadratic(0.1)))
-    leak = LeakSpec(1, 0.4, SqrtLeak())
-    name = type(law).__name__
-    with pytest.raises(TypeError, match=f"no outflow map for the loss law class {name}"):
-        _outflow(law, 0.4)
-    # the forward solve does not build a map, and still converges on the law
-    d = simulate_data(pipes, leak, [(5.0, 1.0)])[0]
-    assert abs(residual(pipes, 1, 0.4, d)) <= 1e-9
-    with pytest.raises(TypeError, match=name):
-        estimate_outflow(pipes, 1, 0.4, d.dh, d.q_in)
-    with pytest.raises(TypeError, match=name):
-        confusion_flow_curve(pipes, 2, 0.5, leak, [d.dh], d.q_in)
-    with pytest.raises(TypeError, match=name):
-        confusion_flow_curve(pipes, 1, 0.5, LeakSpec(2, 0.4, SqrtLeak()), [d.dh], d.q_in)
+def test_a_pipe_set_refuses_a_law_of_another_class(law):
+    # each law's maps write PowerLaw's or QuadraticPlusLinear's formulas, not calls
+    # of its methods, so a pipe set refuses any other class, a subclass included,
+    # where it is built, before a solve or an outflow could take the law
+    message = f"loss law class {type(law).__name__} is not PowerLaw or QuadraticPlusLinear"
+    with pytest.raises(TypeError, match=message):
+        PipeSet((law, SignedQuadratic(0.1)))
+    pipes = PipeSet((Linear(1.0), SignedQuadratic(0.1)))
+    with pytest.raises(TypeError, match=message):
+        pipes.replace(pipes=(pipes.pipe(1), law))
 
 
 class TestCompleteDataPoint:

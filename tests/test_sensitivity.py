@@ -39,7 +39,7 @@ from leakscope import (
 from leakscope import sensitivity
 from leakscope.cli import _nominal_point, main as cli_main
 from leakscope.scenario import parse_scenario
-from leakscope.localization import _outflow, _require_outlet
+from leakscope.localization import _require_outlet
 
 
 class TestSectionResistances:
@@ -210,7 +210,7 @@ def _assert_curve_slopes_are_exact(pipes, leak, nominal, grid) -> tuple[int, int
             h = 1e-6 * max(1.0, abs(q))
             slopes = []
             for j, x_j in ((k, x), (i, x_i)):
-                out, slope = _outflow(pipes.pipe(j), x_j)(G[j - 1], dh, q)
+                out, slope = pipes.pipe(j).outflow_map(x_j)(G[j - 1], dh, q)
                 a, b = q - G[j - 1], out - G[j - 1]
                 slopes.append((out, slope))
                 # the laws are smooth away from zero flow: difference only where the
@@ -282,18 +282,21 @@ class TestConfusionCurveSlope:
 def test_confusion_curve_evaluation_counts(tmp_path, monkeypatch):
     # mismatch evaluations per point of example2's CLI curves, two outflows each:
     # a curve builds its two outflow maps once, so the calls of those maps count
-    calls, fallbacks, points = [0], [0], []
-    outflow, solve = sensitivity._outflow, sensitivity._solve_point
-    expand = sensitivity.expand_bracket
+    calls, builds, fallbacks, points = [0], [0], [0], []
+    solve, expand = sensitivity._solve_point, sensitivity.expand_bracket
 
-    def counted_outflow(*args):
-        outflow_map = outflow(*args)
+    def counted_builder(outflow_map):
+        def counted_outflow_map(law, x_j):
+            builds[0] += 1
+            outflow = outflow_map(law, x_j)
 
-        def counted_map(*map_args):
-            calls[0] += 1
-            return outflow_map(*map_args)
+            def counted_map(*map_args):
+                calls[0] += 1
+                return outflow(*map_args)
 
-        return counted_map
+            return counted_map
+
+        return counted_outflow_map
 
     def counted_expand(*args, **kwargs):
         fallbacks[0] += 1
@@ -305,12 +308,16 @@ def test_confusion_curve_evaluation_counts(tmp_path, monkeypatch):
         points.append(((calls[0] - before[0]) / 2, fallbacks[0] > before[1]))
         return result
 
-    monkeypatch.setattr(sensitivity, "_outflow", counted_outflow)
+    for law in (PowerLaw, QuadraticPlusLinear):
+        monkeypatch.setattr(law, "outflow_map", counted_builder(law.outflow_map))
     monkeypatch.setattr(sensitivity, "expand_bracket", counted_expand)
     monkeypatch.setattr(sensitivity, "_solve_point", counted_solve)
     scenario = str(bundled_scenario("example2"))
     assert cli_main(["confusion", "--scenario", scenario, "--out", str(tmp_path)]) == 0
     assert len(points) == 3 * 41
+    # each of the 3 curves is continued in two halves from the nominal point, and
+    # each half builds its two maps, the truth's and pipe i's, once: none per point
+    assert builds[0] == 2 * 3 * 2
     # every point evaluates the mismatch at least once; counting map builds,
     # two per curve, would fail here
     assert calls[0] >= 2 * len(points)
@@ -358,7 +365,7 @@ def closure_curve(pipes, i, x_i, truth, dh_grid, seed_qin):
     whose points, flags and residuals the curve must match to the bit."""
     k, x = truth.k, truth.x
     _require_outlet(i, x_i)
-    outflow_k, outflow_i = _outflow(pipes.pipe(k), x), _outflow(pipes.pipe(i), x_i)
+    outflow_k, outflow_i = pipes.pipe(k).outflow_map(x), pipes.pipe(i).outflow_map(x_i)
     q_vals, residuals, flags, seed = [], [], [], seed_qin
     for dh in dh_grid:
         G = pipes.admittances_excluding(dh)
