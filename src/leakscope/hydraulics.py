@@ -70,6 +70,8 @@ class LeakSpec(Value):
             raise ValueError(f"pipe index k must be an int >= 1, got {k!r}")
         if not 0.0 < x < 1.0:
             raise ValueError(f"relative position x must be in (0,1), got {x}")
+        if type(leak) not in (PowerLawLeak, FixedDemand):  # the solve writes their slopes
+            raise TypeError(f"leak class {type(leak).__name__} is not PowerLawLeak or FixedDemand")
         self._k, self._x, self._leak = k, x, leak
 
 

@@ -1,4 +1,4 @@
-"""Root finding: a safeguarded Newton for strictly decreasing f, and Brent's zeroin."""
+"""Root finding: a safeguarded Newton for strictly decreasing f, and Illinois false position."""
 
 from __future__ import annotations
 
@@ -7,9 +7,9 @@ import sys
 from collections.abc import Callable
 
 EPS = sys.float_info.epsilon
-MAX_ITER = 200  # steps before brent or newton returns its current estimate
+MAX_ITER = 200  # steps before regula_falsi or newton returns its current estimate
 MAX_EXPAND = 30  # doublings before expand_bracket gives up
-XTOL = 1e-13  # the absolute tolerance of newton and brent
+XTOL = 1e-13  # the absolute tolerance of newton and regula_falsi
 
 
 class NoRootError(ValueError):
@@ -41,57 +41,33 @@ def expand_bracket(
     raise NoRootError(f"no sign change in [{lo}, {hi}] after {MAX_EXPAND} expansions")
 
 
-def brent(f: Callable[[float], float], a: float, b: float, fa: float, fb: float) -> float:
-    """Brent's zeroin on [a, b] given fa = f(a), fb = f(b), fa*fb <= 0.
-
-    Inverse quadratic interpolation or a secant step where it stays well
-    inside the bracket, bisection otherwise (Brent 1973, ch. 4). Stops when
-    the bracket's half-width is at most 2 eps |b| + XTOL/2, so the root lies
-    within XTOL + 4 eps |b| of the returned b.
-    """
+def regula_falsi(f: Callable[[float], float], a: float, b: float, fa: float, fb: float) -> float:
+    """Root of f in [a, b], fa = f(a), fb = f(b), fa*fb <= 0, by Illinois false position (Dowell and
+    Jarratt 1971): an end's value is halved when the end is kept twice in a row. A step bisects
+    where false position lands on or past an end, 3 steps left the bracket over half as wide, or
+    half of MAX_ITER is spent. Stops at a width of 4 eps |c| + XTOL, which bounds |c - root|."""
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
-    if (fa < 0.0) == (fb < 0.0):
+    below = fa < 0.0  # the sign that a keeps: halving may round fa to 0
+    if below == (fb < 0.0):
         raise NoRootError(f"f({a})={fa} and f({b})={fb} have the same sign")
-    # b is the best estimate, c the other end of the bracket, a the previous b
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(MAX_ITER):
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 2.0 * EPS * abs(b) + 0.5 * XTOL
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
-            return b
-        if abs(e) < tol or abs(fa) <= abs(fb):
-            d = e = m  # the last step was tiny or did not shrink |f|: bisect
+    c, kept, w1, w2, w3 = a, 0, math.inf, math.inf, math.inf  # kept end: -1 a, 1 b; past widths
+    for i in range(MAX_ITER):
+        width = b - a
+        c = a - fa * width / (fb - fa)  # a NaN c bisects too
+        if not (a < c < b or b < c < a) or abs(width) > 0.5 * w3 or 2 * i >= MAX_ITER:
+            c = 0.5 * a + 0.5 * b
+        w3, w2, w1 = w2, w1, abs(width)
+        fc = f(c)
+        if (fc < 0.0) == below:
+            a, fa, fb, kept = c, fc, 0.5 * fb if kept == 1 else fb, 1
         else:
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * m * s, 1.0 - s
-            else:  # inverse quadratic through a, b, c
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            # take the step only if it lands less than 3/4 of the way to c and
-            # is under half the step before last; else bisect
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
-        if (fb < 0.0) == (fc < 0.0) and fb != 0.0:
-            c, fc = a, fa
-            d = e = b - a
-    return b
+            b, fb, fa, kept = c, fc, 0.5 * fa if kept == -1 else fa, -1
+        if not fc or abs(b - a) <= 4.0 * EPS * abs(c) + XTOL:
+            return c
+    return c
 
 
 def newton(fdf: Callable[[float], tuple[float, float]], x: float) -> float:

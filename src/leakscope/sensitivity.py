@@ -20,7 +20,7 @@ import math
 from .headloss import PipeSet, UnboundedDerivativeError, Value
 from .hydraulics import DataPoint, LeakSpec
 from .localization import _require_outlet
-from .rootfind import NoRootError, brent, expand_bracket
+from .rootfind import NoRootError, expand_bracket, regula_falsi
 
 CURVE_TOL = 1e-10  # |residual| at which a confusion-curve point has converged
 CURVE_MAX_ITER = 100  # damped Newton steps per point before the bracketed fallback
@@ -105,9 +105,9 @@ def confusion_flow_curve(
     that keeps the pipe-i residual at zero under the true leak hypothesis.
 
     Damped Newton on the mismatch's exact q_in-slope, seeded by the previous
-    converged grid point and stopped at |mismatch| <= CURVE_TOL, with Brent's
-    zeroin on an expanding bracket as the fallback where the slope is 0 or not
-    finite or the steps stall. Non-convergence is flagged per point, not
+    converged grid point and stopped at |mismatch| <= CURVE_TOL, with Illinois
+    false position on an expanding bracket as the fallback where the slope is 0
+    or not finite or the steps stall. Non-convergence is flagged per point, not
     fatal.
     """
     k, x = truth.k, truth.x
@@ -143,8 +143,9 @@ def _solve_point(
     slope_i, until |f| <= CURVE_TOL.
 
     A step is halved until |f| shrinks. Where f' is 0 or not finite (a zero
-    section flow), or the steps stall, Brent's zeroin on a bracket grown
-    around the seed takes over."""
+    section flow), or the steps stall, `regula_falsi` on a bracket grown around
+    the seed takes over; where no sign change is found, the last Newton q stands,
+    flagged unconverged."""
     q = seed
     out_k, slope_k = outflow_k(G_k, dh, q)
     out_i, slope_i = outflow_i(G_i, dh, q)
@@ -172,7 +173,7 @@ def _solve_point(
 
         width = max(1.0, abs(seed))
         try:
-            q = brent(f, *expand_bracket(f, seed - width, seed + width))
+            q = regula_falsi(f, *expand_bracket(f, seed - width, seed + width))
             fq = f(q)
         except NoRootError:
             pass

@@ -136,11 +136,12 @@ class TestScenarioParsing:
     @pytest.mark.parametrize(
         "key,lo,hi,path",
         [
-            ("boundary", -1.7e308, 1.7e308, "boundary.h_in"),
+            ("h_in", -1.7e308, 1.7e308, "boundary.h_in"),
+            ("h_out", -1.7e308, 1.7e308, "boundary.h_out"),
             ("dh_grid", -1.7e308, 1.7e308, "analysis.dh_grid"),
             ("dh_grid", 0.0, 1.7e308, "analysis.dh_grid"),  # to - from fits, 2 (to - from) not
         ],
-        ids=["boundary-span", "dh_grid-span", "dh_grid-spacing"],
+        ids=["boundary-span", "boundary-h_out-span", "dh_grid-span", "dh_grid-spacing"],
     )
     def test_range_spaced_past_the_float_range_named(
         self, tmp_path, capsys, command, key, lo, hi, path
@@ -148,8 +149,10 @@ class TestScenarioParsing:
         # once loaded as nan, inf, inf: (to - from) overflows to inf
         doc = json.loads(bundled_scenario("example2").read_text())
         spec = {"from": lo, "to": hi, "steps": 3}
-        if key == "boundary":
+        if key == "h_in":
             doc["boundary"] = {"h_in": spec, "h_out": 1.0}
+        elif key == "h_out":
+            doc["boundary"] = {"h_in": 5.0, "h_out": spec}
         else:
             doc["analysis"]["dh_grid"] = spec
         bad = tmp_path / "bad.json"
@@ -159,6 +162,13 @@ class TestScenarioParsing:
         assert err_lines == [
             f"error: {path}: spacing 3 values from {lo!r} to {hi!r} overflows the float range"
         ]
+
+    def test_boundary_range_on_the_outlet_head(self, tmp_path):
+        doc = json.loads(bundled_scenario("example2").read_text())
+        doc["boundary"] = {"h_in": 5.0, "h_out": {"from": 1.0, "to": 2.0, "steps": 3}}
+        path = tmp_path / "outlet-range.json"
+        path.write_text(json.dumps(doc))
+        assert parse_scenario(path).boundary == ((5.0, 1.0), (5.0, 1.5), (5.0, 2.0))
 
     @pytest.mark.parametrize(
         "text,message",
@@ -333,6 +343,20 @@ def test_empty_dh_grid(tmp_path, command):
     assert run(command, path, tmp_path / "out") == 0
     filename = command.replace("-", "_") + ".csv"
     assert (tmp_path / "out" / filename).read_text() == HEADERS[filename] + "\n"
+
+
+@pytest.mark.parametrize("command", ["residual-sweep", "confusion"])
+def test_missing_dh_grid(tmp_path, capsys, command):
+    # no grid at all, unlike an empty one, is an error line and no CSV
+    doc = json.loads(bundled_scenario("example2").read_text())
+    del doc["analysis"]["dh_grid"]
+    path = tmp_path / "no-grid.json"
+    path.write_text(json.dumps(doc))
+    assert run(command, path, tmp_path / "out") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: analysis.dh_grid is required for this command"
+    ]
+    assert not (tmp_path / "out" / (command.replace("-", "_") + ".csv")).exists()
 
 
 def test_eps_spread_flag_overrides_scenario(tmp_path):

@@ -258,6 +258,40 @@ def test_leak_spec_rejects_a_pipe_index_that_is_not_a_positive_int(k):
         LeakSpec(k, 0.5, SqrtLeak())
 
 
+class _DoubledDemand(FixedDemand):
+    """A fixed demand whose own `flow` doubles the base one."""
+
+    __slots__ = ()
+
+    def flow(self, h_leak):
+        return 2.0 * super().flow(h_leak)
+
+
+class _CappedLeak(PowerLawLeak):
+    """A power-law leak whose own `flow` is capped at 1, which the solve's
+    slope beta g / (h - h_y) would not follow."""
+
+    __slots__ = ()
+
+    def flow(self, h_leak):
+        return min(super().flow(h_leak), 1.0)
+
+
+@pytest.mark.parametrize(
+    "leak", [None, _DoubledDemand(0.5), _CappedLeak(1.0, 0.5)], ids=["none", "demand", "power"]
+)
+def test_leak_spec_refuses_a_leak_of_another_class(leak):
+    # the forward solve writes the leak slope of PowerLawLeak and FixedDemand, so a
+    # spec refuses any other class, a subclass included, where it is built; None
+    # once raised AttributeError in sweep, which its per-row handler did not catch
+    message = f"^leak class {type(leak).__name__} is not PowerLawLeak or FixedDemand$"
+    with pytest.raises(TypeError, match=message):
+        LeakSpec(1, 0.5, leak)
+    spec = LeakSpec(1, 0.5, SqrtLeak())
+    with pytest.raises(TypeError, match=message):
+        spec.replace(leak=leak)
+
+
 INF, NAN = math.inf, math.nan
 
 

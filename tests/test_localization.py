@@ -324,6 +324,13 @@ class TestCompleteDataPoint:
         )
         assert candidate_position(pipes, 2, done) == pytest.approx(x_j, abs=1e-8)
 
+    @pytest.mark.parametrize("x_j", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_position_outside_the_pipe_raises(self, example2, x_j):
+        pipes, leak = example2
+        d = simulate_data(pipes, leak, [(5.0, 1.0)])[0]
+        with pytest.raises(ValueError, match=r"^x_j must be in \(0,1\), got "):
+            complete_data_point(pipes, 1, x_j, PartialDataPoint(d.h_in, d.h_out, d.q_in, None))
+
     def test_partial_validation(self):
         with pytest.raises(ValueError):
             PartialDataPoint(1.0, 2.0, 3.0, 4.0)

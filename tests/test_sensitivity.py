@@ -83,6 +83,11 @@ class TestSectionResistances:
         sec2 = section_resistances(pipes, 2, 0.4, d)
         assert sec1.ratio == pytest.approx(sec2.ratio, rel=1e-12)
 
+    @pytest.mark.parametrize("R_out", [0.0, -0.0, -2.0])
+    def test_ratio_needs_a_positive_outlet_resistance(self, R_out):
+        with pytest.raises(ZeroDivisionError, match="R_out must be positive"):
+            sensitivity.SectionResistances(1.0, R_out).ratio
+
 
 def _sublinear_network():
     pipes = PipeSet((PowerLaw(0.5, 0.8), SignedQuadratic(0.1), PowerLaw(0.3, 0.6)))
@@ -282,8 +287,9 @@ class TestConfusionCurveSlope:
 def test_confusion_curve_evaluation_counts(tmp_path, monkeypatch):
     # mismatch evaluations per point of example2's CLI curves, two outflows each:
     # a curve builds its two outflow maps once, so the calls of those maps count
-    calls, builds, fallbacks, points = [0], [0], [0], []
+    calls, builds, fallbacks, points, bracket_solves = [0], [0], [0], [], []
     solve, expand = sensitivity._solve_point, sensitivity.expand_bracket
+    narrow = sensitivity.regula_falsi
 
     def counted_builder(outflow_map):
         def counted_outflow_map(law, x_j):
@@ -302,6 +308,12 @@ def test_confusion_curve_evaluation_counts(tmp_path, monkeypatch):
         fallbacks[0] += 1
         return expand(*args, **kwargs)
 
+    def counted_narrow(*args):
+        before = calls[0]
+        result = narrow(*args)
+        bracket_solves.append((len(points), (calls[0] - before) / 2))
+        return result
+
     def counted_solve(outflow_k, outflow_i, G_k, G_i, dh, seed):
         before = calls[0], fallbacks[0]
         result = solve(outflow_k, outflow_i, G_k, G_i, dh, seed)
@@ -311,6 +323,7 @@ def test_confusion_curve_evaluation_counts(tmp_path, monkeypatch):
     for law in (PowerLaw, QuadraticPlusLinear):
         monkeypatch.setattr(law, "outflow_map", counted_builder(law.outflow_map))
     monkeypatch.setattr(sensitivity, "expand_bracket", counted_expand)
+    monkeypatch.setattr(sensitivity, "regula_falsi", counted_narrow)
     monkeypatch.setattr(sensitivity, "_solve_point", counted_solve)
     scenario = str(bundled_scenario("example2"))
     assert cli_main(["confusion", "--scenario", scenario, "--out", str(tmp_path)]) == 0
@@ -327,6 +340,27 @@ def test_confusion_curve_evaluation_counts(tmp_path, monkeypatch):
     # only pipe 2's last point below the nominal head loss, dh 3.0, falls back;
     # test_cli's strict xfail pins where it lands
     assert [n for n, (_, fell_back) in enumerate(points) if fell_back] == [60]
+    # its bracket solve, 27 wide: Illinois false position takes 8 mismatch evaluations
+    # there, where bisection would take 48
+    [(index, evaluations)] = bracket_solves
+    assert index == 60 and evaluations <= 12
+
+
+def test_a_point_without_a_sign_change_keeps_the_newton_q(monkeypatch):
+    # two maps of constant sign and zero slope: Newton stops at once, and the bracket
+    # search around the seed finds no sign change, so the seed stands, unconverged
+    expansions, expand = [], sensitivity.expand_bracket
+
+    def counted_expand(f, lo, hi):
+        expansions.append((lo, hi))
+        return expand(f, lo, hi)
+
+    monkeypatch.setattr(sensitivity, "expand_bracket", counted_expand)
+    q, res, ok = sensitivity._solve_point(
+        lambda G, dh, q: (2.5, 0.0), lambda G, dh, q: (1.0, 0.0), 0.0, 0.0, 3.0, -4.0
+    )
+    assert (q, res, ok) == (-4.0, 1.5, False)
+    assert expansions == [(-8.0, 0.0)]
 
 
 def _closure_solve_point(fdf, seed):
@@ -353,7 +387,9 @@ def _closure_solve_point(fdf, seed):
 
         width = max(1.0, abs(seed))
         try:
-            q = sensitivity.brent(f, *sensitivity.expand_bracket(f, seed - width, seed + width))
+            q = sensitivity.regula_falsi(
+                f, *sensitivity.expand_bracket(f, seed - width, seed + width)
+            )
             fq = f(q)
         except sensitivity.NoRootError:
             pass
@@ -436,11 +472,12 @@ def test_curve_keeps_the_closure_loops_points(args):
 # of the float.hex of every q_in_conf and residual cell of confusion.csv, then
 # of every rbar_j cell of residual_sweep.csv, in file order and one per line.
 # test_golden.py allows 1e-12 and would miss a moved bit.
-EXAMPLE2_BITS = "72f1d6a3c2a3f68c6e14d02ad3a7390016ed0653312d89dd875db09f146a432d"
-# pipe 2's point at dh 3.0, where the bracketed fallback lands (q_in -7.784),
-# and at the nominal dh 4.0: (q_in_conf, residual)
+EXAMPLE2_BITS = "24038121d4ccd99aba5979499862f300326b8d2cce02109fc7c74b3755307176"
+# pipe 2's point at dh 3.0, where the bracketed fallback's false position lands
+# (q_in -7.784, 4.2e-14 from the 50-digit root), and at the nominal dh 4.0:
+# (q_in_conf, residual)
 EXAMPLE2_PIPE2_POINTS = {
-    "3": ("-0x1.f22c5ef38bd0dp+2", "0x1.0000000000000p-49"),
+    "3": ("-0x1.f22c5ef38bce0p+2", "0x1.0000000000000p-49"),
     "4": ("0x1.2e6dad51f3ee0p+1", "0x1.8000000000000p-51"),
 }
 
