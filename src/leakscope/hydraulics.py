@@ -133,7 +133,7 @@ def solve_leaky_state(
 
     try:
         h_leak = newton(mismatch, h_in - x * (h_in - h_out or U_k.evaluate((1.0 - x) * leak_flow(h_in))))
-    except ValueError as exc:  # no sign change, or a flow beyond the float range
+    except ValueError as exc:  # a law's or the leak's flow beyond the float range
         raise NoRootError(f"no leak head balances the boundary heads: {exc}") from exc
 
     if h_leak <= h_y:  # a fixed demand's h_y is -inf
@@ -148,12 +148,10 @@ def solve_leaky_state(
 
 
 def measure(state: HydraulicState, pipes: PipeSet, leak: LeakSpec) -> DataPoint:
-    """Collapse a state into the four boundary sensor readings: the leaking
-    pipe's section flows plus the flow through all other pipes at dh."""
-    flows, k = pipes.flows(state.dh), leak.k
-    # fsum rounds once, so its sum depends on no order; sum() accumulates
-    # differently from Python 3.12 on
-    through = math.fsum(flows[:k - 1] + flows[k:])
+    """The four sensor readings of a state: the leaking pipe's section flows plus the
+    other pipes' flow as the all-but-one entry `admittances_excluding(dh)[k - 1]`, which
+    every inversion subtracts."""
+    through = pipes.admittances_excluding(state.dh)[leak.k - 1]
     # by position: keywords cost more, and this runs once per state
     return DataPoint(state.h_in, state.h_out, state.q_in_k + through, state.q_out_k + through)
 

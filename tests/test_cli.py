@@ -654,6 +654,19 @@ STEEP_POWER = {
     "analysis": {"nominal_dh": 2.0, "dh_grid": [1.0, 2.0, 3.0]},
 }
 
+# two near-frictionless pipes carry 1e308 each: the flow through the pipes
+# that do not leak, and so both flow readings, are beyond the float range
+OVERFLOWING_READINGS = {
+    "pipes": [
+        {"type": "linear", "R": 1e-300},
+        {"type": "linear", "R": 1e-300},
+        {"type": "quadratic_plus_linear", "c": 1.0},
+    ],
+    "leak": {"k": 3, "x": 0.5, "fn": {"type": "sqrt"}},
+    "boundary": [[100000001.0, 1.0]],
+    "analysis": {"nominal_dh": 1e8, "dh_grid": [1e8]},
+}
+
 
 @pytest.mark.filterwarnings("ignore:candidate position")
 @settings(max_examples=200, deadline=None)
@@ -664,6 +677,7 @@ STEEP_POWER = {
 @example(doc=INLET_LEAK)
 @example(doc=TINY_C)
 @example(doc=STEEP_POWER)
+@example(doc=OVERFLOWING_READINGS)
 def test_no_command_ends_in_a_traceback(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
@@ -687,6 +701,10 @@ def test_no_command_ends_in_a_traceback(doc):
         (STEEP_POWER, "simulate", 0, ["simulate.csv"], 0),
         (STEEP_POWER, "candidates", 1, ["candidates.csv"], 3),
         *[(STEEP_POWER, command, 1, [], 0) for command in ANALYSES],
+        (OVERFLOWING_READINGS, "simulate", 0, ["simulate.csv"], 0),
+        (OVERFLOWING_READINGS, "candidates", 1, ["candidates.csv"], 1),
+        *[(OVERFLOWING_READINGS, command, 1, [], 0) for command in ANALYSES],
+        (OVERFLOWING_READINGS, "check", 0, ["check.csv"], 0),
     ],
     ids=[
         "equal-losses-candidates", "equal-losses-isolate",
@@ -694,6 +712,9 @@ def test_no_command_ends_in_a_traceback(doc):
         "tiny-c-simulate", "tiny-c-candidates", *[f"tiny-c-{command}" for command in ANALYSES],
         "steep-power-simulate", "steep-power-candidates",
         *[f"steep-power-{command}" for command in ANALYSES],
+        "overflowing-readings-simulate", "overflowing-readings-candidates",
+        *[f"overflowing-readings-{command}" for command in ANALYSES],
+        "overflowing-readings-check",
     ],
 )
 def test_arithmetic_edge_is_an_error_row_or_line(
@@ -752,3 +773,11 @@ def test_overflowing_fit_ranks_before_negative_head(tmp_path):
     assert [(row[4] == "inf", row[5]) for row in results] == [
         (False, "false"), (False, "false"), (True, "false"), (True, "true")
     ]
+
+
+def test_readings_beyond_the_float_range_are_written_as_inf(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(OVERFLOWING_READINGS))
+    assert run("simulate", path, tmp_path) == 0
+    (row,) = csv.DictReader((tmp_path / "simulate.csv").read_text().splitlines())
+    assert (row["q_in"], row["q_out"], row["error"]) == ("inf", "inf", "")

@@ -8,6 +8,7 @@ from conftest import simulate_data
 
 from leakscope import (
     DataPoint,
+    FixedDemand,
     IsolationVerdict,
     LeakFitResult,
     LeakSpec,
@@ -426,3 +427,48 @@ def test_fit_leak_function_matches_the_one_pipe_fit(samples, h_y, eps_fit):
     assert _outcome(fit_leak_function, samples, h_y, eps_fit) == _outcome(
         _fit_one_pipe, samples, h_y, eps_fit, 0
     )
+
+
+# -- the paper's impossibility claim on drawn networks ------------------------------
+
+# the laws of tests/test_kernel.py's mixed networks, one strategy per law class
+_MIXED = st.one_of(
+    st.builds(SignedQuadratic, st.floats(0.02, 0.3)),
+    st.builds(QuadraticPlusLinear, st.floats(0.5, 3.0)),
+    st.builds(PowerLaw, st.floats(0.05, 0.5), st.just(1.85)),
+    st.builds(Linear, st.floats(0.05, 0.5)),
+)
+_LINEAR_PAIR = st.tuples(st.floats(0.05, 0.5), st.floats(0.05, 0.5)).filter(
+    lambda R: R[0] != R[1]
+).map(lambda R: (Linear(R[0]), Linear(R[1])))
+
+
+@st.composite
+def _hidden_pairs(draw):
+    """A pair no data can tell apart, an identical pair or a linear pair with different R,
+    among 0-8 other mixed pipes; a leak in either pipe of the pair; 3-8 noise-free states."""
+    pair = draw(st.one_of(_MIXED.map(lambda law: (law, law)), _LINEAR_PAIR))
+    laws = draw(st.lists(_MIXED, max_size=8))
+    a = draw(st.integers(0, len(laws)))
+    b = draw(st.integers(a, len(laws)))
+    laws[b:b] = [pair[1]]
+    laws[a:a] = [pair[0]]
+    pair_j = (a + 1, b + 2)
+    leak_fn = draw(st.one_of(
+        st.builds(PowerLawLeak, C=st.floats(1e-6, 10.0), beta=st.floats(0.3, 1.5)),
+        st.builds(FixedDemand, st.floats(1e-6, 10.0)),
+    ))
+    leak = LeakSpec(draw(st.sampled_from(pair_j)), draw(st.floats(0.05, 0.95)), leak_fn)
+    dhs = draw(st.lists(st.floats(0.5, 6.0), min_size=3, max_size=8, unique=True))
+    pipes = PipeSet(tuple(laws))
+    return pipes, leak, pair_j, simulate_data(pipes, leak, [(1.0 + dh, 1.0) for dh in dhs])
+
+
+@pytest.mark.filterwarnings("ignore:candidate position")
+@settings(max_examples=100, deadline=None)
+@given(_hidden_pairs())
+def test_a_pair_no_data_can_tell_apart_is_never_isolated(case):
+    pipes, leak, pair_j, data = case
+    verdict = isolate_by_consistency(pipes, data)
+    assert not verdict.isolated
+    assert set(pair_j) <= verdict.candidate_pipes, (verdict.spreads, verdict.reason)
