@@ -66,7 +66,7 @@ class LeakSpec(Value):
     __slots__ = ("_k", "_x", "_leak")
 
     def __init__(self, k: int, x: float, leak: LeakFn):
-        if not (isinstance(k, int) and k >= 1):  # a float k would fail to index the pipes
+        if not (type(k) is int and k >= 1):  # a float or bool k is not a pipe index
             raise ValueError(f"pipe index k must be an int >= 1, got {k!r}")
         if not 0.0 < x < 1.0:
             raise ValueError(f"relative position x must be in (0,1), got {x}")

@@ -1,4 +1,4 @@
-"""Root finding: a safeguarded Newton for strictly decreasing f, and Illinois false position."""
+"""Root finding: the safeguarded Newton of the forward solve and the missing-head completion."""
 
 from __future__ import annotations
 
@@ -7,67 +7,13 @@ import sys
 from collections.abc import Callable
 
 EPS = sys.float_info.epsilon
-MAX_ITER = 200  # steps before regula_falsi or newton returns its current estimate
-MAX_EXPAND = 30  # doublings before expand_bracket gives up
-XTOL = 1e-13  # the absolute tolerance of newton and regula_falsi
+MAX_ITER = 200  # steps before newton, or sensitivity.regula_falsi, returns its current estimate
+XTOL = 1e-13  # the absolute tolerance of newton and sensitivity.regula_falsi
 
 
 class NoRootError(ValueError):
     """No root can be found: no sign change brackets one, or, in a forward
     solve, no admissible leak head balances the boundary heads."""
-
-
-def expand_bracket(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-) -> tuple[float, float, float, float]:
-    """Grow [lo, hi] outward by doubling steps until f changes sign.
-
-    Requires lo <= hi. Returns (lo, hi, f(lo), f(hi)) with f(lo)*f(hi) <= 0.
-    """
-    flo, fhi = f(lo), f(hi)
-    step = max(hi - lo, 1.0)
-    for _ in range(MAX_EXPAND):
-        if flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
-            return lo, hi, flo, fhi
-        # move whichever end has the same sign as both; try both directions
-        lo -= step
-        hi += step
-        flo, fhi = f(lo), f(hi)
-        step *= 2.0
-    if flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
-        return lo, hi, flo, fhi
-    raise NoRootError(f"no sign change in [{lo}, {hi}] after {MAX_EXPAND} expansions")
-
-
-def regula_falsi(f: Callable[[float], float], a: float, b: float, fa: float, fb: float) -> float:
-    """Root of f in [a, b], fa = f(a), fb = f(b), fa*fb <= 0, by Illinois false position (Dowell and
-    Jarratt 1971): an end's value is halved when the end is kept twice in a row. A step bisects
-    where false position lands on or past an end, 3 steps left the bracket over half as wide, or
-    half of MAX_ITER is spent. Stops at a width of 4 eps |c| + XTOL, which bounds |c - root|."""
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    below = fa < 0.0  # the sign that a keeps: halving may round fa to 0
-    if below == (fb < 0.0):
-        raise NoRootError(f"f({a})={fa} and f({b})={fb} have the same sign")
-    c, kept, w1, w2, w3 = a, 0, math.inf, math.inf, math.inf  # kept end: -1 a, 1 b; past widths
-    for i in range(MAX_ITER):
-        width = b - a
-        c = a - fa * width / (fb - fa)  # a NaN c bisects too
-        if not (a < c < b or b < c < a) or abs(width) > 0.5 * w3 or 2 * i >= MAX_ITER:
-            c = 0.5 * a + 0.5 * b
-        w3, w2, w1 = w2, w1, abs(width)
-        fc = f(c)
-        if (fc < 0.0) == below:
-            a, fa, fb, kept = c, fc, 0.5 * fb if kept == 1 else fb, 1
-        else:
-            b, fb, fa, kept = c, fc, 0.5 * fa if kept == -1 else fa, -1
-        if not fc or abs(b - a) <= 4.0 * EPS * abs(c) + XTOL:
-            return c
-    return c
 
 
 def newton(fdf: Callable[[float], tuple[float, float]], x: float) -> float:

@@ -11,19 +11,23 @@ that each hypothesis's `outflow_map`, built by its law once per curve,
 returns with each outflow: minus the `SectionResistances.ratio` that
 `residual_differential` differences. Each law class's map, in `headloss`,
 writes the law's formulas inline, so a point makes no law-method calls.
+Where those steps cannot finish, a point falls back to `regula_falsi` on a bracket
+that `expand_bracket` grows; both live here, beside their one caller, not in `rootfind`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from .headloss import PipeSet, UnboundedDerivativeError, Value
 from .hydraulics import DataPoint, LeakSpec
 from .localization import _require_outlet
-from .rootfind import NoRootError, expand_bracket, regula_falsi
+from .rootfind import EPS, MAX_ITER, XTOL, NoRootError
 
 CURVE_TOL = 1e-10  # |residual| at which a confusion-curve point has converged
 CURVE_MAX_ITER = 100  # damped Newton steps per point before the bracketed fallback
+MAX_EXPAND = 30  # doublings before expand_bracket gives up
 
 
 class SectionResistances(Value):
@@ -173,11 +177,60 @@ def _solve_point(
 
         width = max(1.0, abs(seed))
         try:
-            q = regula_falsi(f, *expand_bracket(f, seed - width, seed + width))
-            fq = f(q)
+            q, fq = regula_falsi(f, *expand_bracket(f, seed - width, seed + width))
         except NoRootError:
             pass
     return q, fq, abs(fq) <= CURVE_TOL
+
+
+def expand_bracket(
+    f: Callable[[float], float], lo: float, hi: float
+) -> tuple[float, float, float, float]:
+    """Grow [lo, hi] outward by doubling steps until f changes sign.
+
+    Requires lo <= hi. Returns (lo, hi, f(lo), f(hi)) with f(lo)*f(hi) <= 0.
+    """
+    flo, fhi = f(lo), f(hi)
+    step, expansions = max(hi - lo, 1.0), 0
+    while not (flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0)):
+        if expansions == MAX_EXPAND:
+            raise NoRootError(f"no sign change in [{lo}, {hi}] after {MAX_EXPAND} expansions")
+        # move whichever end has the same sign as both; try both directions
+        lo, hi, step, expansions = lo - step, hi + step, 2.0 * step, expansions + 1
+        flo, fhi = f(lo), f(hi)
+    return lo, hi, flo, fhi
+
+
+def regula_falsi(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float
+) -> tuple[float, float]:
+    """Root c of f in [a, b] and f(c), fa = f(a), fb = f(b), fa*fb <= 0, by Illinois false position
+    (Dowell and Jarratt 1971): an end's value is halved when the end is kept twice in a row. A step
+    bisects where false position lands on or past an end, 3 steps left the bracket over half as
+    wide, or half of MAX_ITER is spent. Stops at a width of 4 eps |c| + XTOL, which bounds
+    |c - root|."""
+    if fa == 0.0:
+        return a, fa
+    if fb == 0.0:
+        return b, fb
+    below = fa < 0.0  # the sign that a keeps: halving may round fa to 0
+    if below == (fb < 0.0):
+        raise NoRootError(f"f({a})={fa} and f({b})={fb} have the same sign")
+    c, fc, kept, w1, w2, w3 = a, fa, 0, math.inf, math.inf, math.inf  # kept: -1 a, 1 b; past widths
+    for i in range(MAX_ITER):
+        width = b - a
+        c = a - fa * width / (fb - fa)  # a NaN c bisects too
+        if not (a < c < b or b < c < a) or abs(width) > 0.5 * w3 or 2 * i >= MAX_ITER:
+            c = 0.5 * a + 0.5 * b
+        w3, w2, w1 = w2, w1, abs(width)
+        fc = f(c)
+        if (fc < 0.0) == below:
+            a, fa, fb, kept = c, fc, 0.5 * fb if kept == 1 else fb, 1
+        else:
+            b, fb, fa, kept = c, fc, 0.5 * fa if kept == -1 else fa, -1
+        if not fc or abs(b - a) <= 4.0 * EPS * abs(c) + XTOL:
+            break
+    return c, fc
 
 
 class ZeroDhSensitivity(Value):

@@ -109,6 +109,17 @@ def test_star_import_binds_every_name_in_all():
     assert [name for name, bound, listed in rows if not (bound and listed)] == []
 
 
+def test_dir_lists_every_export_and_submodule_and_loads_none():
+    code = (
+        "import json, sys, leakscope; names = dir(leakscope); "
+        "print(json.dumps([names, leakscope.__all__, [m for m in sys.modules if 'leakscope' in m]]))"
+    )
+    names, exported, loaded = json.loads(_python(code))
+    assert set(exported) | set(SUBMODULES) <= set(names)
+    assert names == sorted(names)
+    assert loaded == ["leakscope"]
+
+
 def test_unknown_name_raises_attribute_error_naming_it():
     code = (
         "import leakscope\n"

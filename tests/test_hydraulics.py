@@ -281,10 +281,11 @@ def test_invalid_leak_spec():
         solve_leaky_state(pipes, LeakSpec(2, 0.5, SqrtLeak()), 2.0, 1.0)
 
 
-@pytest.mark.parametrize("k", [1.5, 2.0, 0, -1, "2", None])
+@pytest.mark.parametrize("k", [1.5, 2.0, 0, -1, "2", None, True])
 def test_leak_spec_rejects_a_pipe_index_that_is_not_a_positive_int(k):
     # a float k was once accepted, and its sweep raised TypeError from tuple
-    # indexing, which the sweep's per-row ValueError handler did not catch
+    # indexing, which the sweep's per-row ValueError handler did not catch; True
+    # is an int >= 1 to isinstance, and the scenario reader refuses booleans too
     with pytest.raises(ValueError, match=r"^pipe index k must be an int >= 1, got "):
         LeakSpec(k, 0.5, SqrtLeak())
 

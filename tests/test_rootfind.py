@@ -22,11 +22,9 @@ from leakscope import (
     solve_leaky_state,
 )
 import leakscope
-from leakscope import hydraulics, localization
-from leakscope import rootfind
-from leakscope.rootfind import (
-    MAX_EXPAND, MAX_ITER, XTOL, NoRootError, expand_bracket, newton, regula_falsi,
-)
+from leakscope import hydraulics, localization, sensitivity
+from leakscope.rootfind import MAX_ITER, XTOL, NoRootError, newton
+from leakscope.sensitivity import MAX_EXPAND, expand_bracket, regula_falsi
 
 EPS = sys.float_info.epsilon
 
@@ -36,9 +34,9 @@ def no_call(q):
 
 
 def test_root_at_an_end_is_returned_exactly():
-    assert regula_falsi(no_call, -0.3, 2.0, 0.0, 5.0) == -0.3
-    assert regula_falsi(no_call, -0.3, 2.0, -5.0, 0.0) == 2.0
-    assert regula_falsi(no_call, -0.3, 2.0, 0.0, 0.0) == -0.3
+    assert regula_falsi(no_call, -0.3, 2.0, 0.0, 5.0) == (-0.3, 0.0)
+    assert regula_falsi(no_call, -0.3, 2.0, -5.0, 0.0) == (2.0, 0.0)
+    assert regula_falsi(no_call, -0.3, 2.0, 0.0, 0.0) == (-0.3, 0.0)
 
 
 @pytest.mark.parametrize("fa,fb", [(1.0, 2.0), (-1.0, -2.0), (5e-324, 1.0)])
@@ -49,6 +47,7 @@ def test_same_sign_bracket_raises(fa, fb):
 
 def test_one_no_root_error():
     assert leakscope.NoRootError is leakscope.hydraulics.NoRootError is NoRootError
+    assert sensitivity.NoRootError is NoRootError
     assert issubclass(NoRootError, ValueError)
     with pytest.raises(NoRootError, match="no sign change"):
         expand_bracket(lambda x: 1.0 + x * x, -1.0, 1.0)
@@ -116,7 +115,9 @@ def test_regula_falsi_lands_on_a_sign_change(problem):
     fa, fb = f(a), f(b)
     assume(fa and fb)
     calls = []
-    c = regula_falsi(lambda t: calls.append(t) or f(t), a, b, fa, fb)
+    c, fc = regula_falsi(lambda t: calls.append(t) or f(t), a, b, fa, fb)
+    # the mismatch it returns is f at the root it returns, bit for bit
+    assert fc.hex() == f(c).hex()
     delta = XTOL + 4 * EPS * abs(c)
     assert not f(c) or any(abs(c - r) <= delta for r in f.sign_changes())
     # a step bisects where the three before it left the bracket over half as wide, so
@@ -135,22 +136,23 @@ def test_regula_falsi_bisects_where_false_position_lands_on_an_end():
         calls.append(t)
         return 1e-300 if t >= 1.0 else -1e300
 
-    assert abs(regula_falsi(f, 0.0, 1.0, -1e300, 1e-300) - 1.0) <= XTOL + 4 * EPS
+    c, _ = regula_falsi(f, 0.0, 1.0, -1e300, 1e-300)
+    assert abs(c - 1.0) <= XTOL + 4 * EPS
     assert calls[0] == 0.5
 
 
 def test_regula_falsi_out_of_steps_returns_a_point_of_the_bracket(monkeypatch):
-    monkeypatch.setattr(rootfind, "MAX_ITER", 3)
+    monkeypatch.setattr(sensitivity, "MAX_ITER", 3)
     calls = []
 
     def f(t):
         calls.append(t)
         return math.atan(t - 0.3)
 
-    c = regula_falsi(f, -1e6, 2.0, f(-1e6), f(2.0))
+    c, fc = regula_falsi(f, -1e6, 2.0, f(-1e6), f(2.0))
     assert len(calls) == 2 + 3
     assert -1e6 <= c <= 2.0 and c == calls[-1]
-    assert abs(f(c)) > 0.0
+    assert fc == f(c) != 0.0
 
 
 LAWS = st.one_of(
@@ -169,7 +171,8 @@ def test_root_within_tolerance(law, flow):
     def f(q):
         return law.evaluate(q) - target
 
-    x = regula_falsi(f, *expand_bracket(f, -1.0, 1.0))
+    x, fx = regula_falsi(f, *expand_bracket(f, -1.0, 1.0))
+    assert fx == f(x)
     # f changes sign within XTOL + 4 eps |x| of the result
     delta = XTOL + 4 * EPS * abs(x)
     assert f(x - delta) <= 0.0 <= f(x + delta)

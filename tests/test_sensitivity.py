@@ -287,7 +287,7 @@ class TestConfusionCurveSlope:
 def test_confusion_curve_evaluation_counts(tmp_path, monkeypatch):
     # mismatch evaluations per point of example2's CLI curves, two outflows each:
     # a curve builds its two outflow maps once, so the calls of those maps count
-    calls, builds, fallbacks, points, bracket_solves = [0], [0], [0], [], []
+    calls, builds, fallbacks, points, bracket_solves, returned = [0], [0], [0], [], [], []
     solve, expand = sensitivity._solve_point, sensitivity.expand_bracket
     narrow = sensitivity.regula_falsi
 
@@ -311,13 +311,14 @@ def test_confusion_curve_evaluation_counts(tmp_path, monkeypatch):
     def counted_narrow(*args):
         before = calls[0]
         result = narrow(*args)
-        bracket_solves.append((len(points), (calls[0] - before) / 2))
+        bracket_solves.append((len(points), (calls[0] - before) / 2, calls[0]))
         return result
 
     def counted_solve(outflow_k, outflow_i, G_k, G_i, dh, seed):
         before = calls[0], fallbacks[0]
         result = solve(outflow_k, outflow_i, G_k, G_i, dh, seed)
         points.append(((calls[0] - before[0]) / 2, fallbacks[0] > before[1]))
+        returned.append(calls[0])
         return result
 
     for law in (PowerLaw, QuadraticPlusLinear):
@@ -342,8 +343,11 @@ def test_confusion_curve_evaluation_counts(tmp_path, monkeypatch):
     assert [n for n, (_, fell_back) in enumerate(points) if fell_back] == [60]
     # its bracket solve, 27 wide: Illinois false position takes 8 mismatch evaluations
     # there, where bisection would take 48
-    [(index, evaluations)] = bracket_solves
+    [(index, evaluations, calls_after)] = bracket_solves
     assert index == 60 and evaluations <= 12
+    # the bracket solve returns the mismatch at its root with the root, so the
+    # point makes no map call after it
+    assert returned[index] == calls_after
 
 
 def test_a_point_without_a_sign_change_keeps_the_newton_q(monkeypatch):
@@ -387,10 +391,9 @@ def _closure_solve_point(fdf, seed):
 
         width = max(1.0, abs(seed))
         try:
-            q = sensitivity.regula_falsi(
+            q, fq = sensitivity.regula_falsi(
                 f, *sensitivity.expand_bracket(f, seed - width, seed + width)
             )
-            fq = f(q)
         except sensitivity.NoRootError:
             pass
     return q, fq, abs(fq) <= sensitivity.CURVE_TOL
