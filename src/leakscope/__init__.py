@@ -22,7 +22,7 @@ _MODULE_NAMES = {
     "residual_differential section_resistances zero_dh_sensitivity",
 }
 _EXPORTS = {name: module for module, names in _MODULE_NAMES.items() for name in names.split()}
-_SUBMODULES = {*_MODULE_NAMES, "cli", "rootfind"}
+_SUBMODULES = {*_MODULE_NAMES, "cli"}
 
 __all__ = [*_EXPORTS, "bundled_scenario"]
 __version__ = "0.1.0"

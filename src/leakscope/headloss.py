@@ -219,9 +219,11 @@ class PowerLaw(HeadLossFn, Value):
                 head_in = copysign(c * abs(a) ** gamma, a)
                 head_out = dh / w - r * head_in
                 b = copysign((abs(head_out) / c) ** inv, head_out)
-            except OverflowError:  # the law's own methods raise its ValueError
-                self.invert(dh / w - r * self.evaluate(a))
-                raise
+            except OverflowError:
+                raise ValueError(
+                    f"{self!r}.outflow_map({x_j!r})({G!r}, {dh!r}, {q_in!r}) "
+                    "is beyond the float range"
+                ) from None
             den = a * head_out
             return b + G, m * (head_in * b / den if den else nan)
 

@@ -12,8 +12,7 @@ import warnings
 from itertools import repeat
 
 from .headloss import HeadLossFn, PipeSet, Value
-from .hydraulics import DataPoint
-from .rootfind import newton
+from .hydraulics import DataPoint, newton
 
 
 class NoLeakError(ValueError):

@@ -12,7 +12,7 @@ returns with each outflow: minus the `SectionResistances.ratio` that
 `residual_differential` differences. Each law class's map, in `headloss`,
 writes the law's formulas inline, so a point makes no law-method calls.
 Where those steps cannot finish, a point falls back to `regula_falsi` on a bracket
-that `expand_bracket` grows; both live here, beside their one caller, not in `rootfind`.
+that `expand_bracket` grows; both live here, beside their one caller.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ import math
 from collections.abc import Callable
 
 from .headloss import PipeSet, UnboundedDerivativeError, Value
-from .hydraulics import DataPoint, LeakSpec
+from .hydraulics import EPS, MAX_ITER, XTOL, DataPoint, LeakSpec, NoRootError
 from .localization import _require_outlet
-from .rootfind import EPS, MAX_ITER, XTOL, NoRootError
 
 CURVE_TOL = 1e-10  # |residual| at which a confusion-curve point has converged
 CURVE_MAX_ITER = 100  # damped Newton steps per point before the bracketed fallback

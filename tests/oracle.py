@@ -1,6 +1,6 @@
 """50-digit reference roots for the float solvers, from the standard library's
 `decimal`: the forward leak head, a completed missing head and a
-confusion-curve point.
+confusion-curve point; and the leak fit's least-squares C and beta.
 
 Each float input converts to a Decimal exactly, every law and leak law is
 evaluated at 50 significant digits, and the root of the equation is
@@ -158,3 +158,18 @@ def confusion_root(pipes, i: int, x_i: float, k: int, x: float, dh: float, q: fl
             raise AssertionError(f"the mismatch keeps its sign within 1e50 of {q}")
         h = Decimal("1e-20") * (1 + abs(found))
         return found, (f(found + h) - f(found - h)) / (2 * h)
+
+
+def leak_fit(samples, h_y: float) -> tuple[Decimal, Decimal]:
+    """C and beta of the least-squares line ln q = ln C + beta ln(h - h_y) through
+    the (h, q) samples, from its normal equations
+    n ln C + beta S_u = S_v and ln C S_u + beta S_uu = S_uv,
+    with u = ln(h - h_y) and v = ln q, and h - h_y formed exactly."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        u = [(Decimal(h) - Decimal(h_y)).ln() for h, _ in samples]
+        v = [Decimal(q).ln() for _, q in samples]
+        n, S_u, S_v = len(samples), sum(u), sum(v)
+        S_uu, S_uv = sum(a * a for a in u), sum(a * b for a, b in zip(u, v))
+        beta = (n * S_uv - S_u * S_v) / (n * S_uu - S_u * S_u)
+        return ((S_v - beta * S_u) / n).exp(), beta

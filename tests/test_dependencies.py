@@ -19,7 +19,7 @@ SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(leakscope.__path__))
 
 # the leakscope modules each command loads: the forward solve, and the layers
 # the command runs on top of it
-SOLVE = {"", "cli", "scenario", "headloss", "hydraulics", "rootfind"}
+SOLVE = {"", "cli", "scenario", "headloss", "hydraulics"}
 COMMAND_MODULES = {
     ("simulate", "example1"): SOLVE,
     ("check", "example1"): SOLVE,
@@ -96,6 +96,11 @@ def test_every_submodule_resolves_after_a_bare_import():
         f"print(json.dumps([getattr(leakscope, m).__name__ for m in {SUBMODULES!r}]))"
     )
     assert json.loads(_python(code)) == [f"leakscope.{m}" for m in SUBMODULES]
+
+
+def test_lazy_submodule_table_names_exactly_the_module_files():
+    # a stale entry would make dir(leakscope) list a module that fails to import
+    assert leakscope._SUBMODULES == set(SUBMODULES)
 
 
 def test_star_import_binds_every_name_in_all():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 from decimal import Decimal
 
@@ -32,7 +33,7 @@ from leakscope import (
     solve_leaky_state,
 )
 from leakscope.headloss import HeadLossFn
-from leakscope.rootfind import XTOL
+from leakscope.hydraulics import XTOL
 
 EPS = sys.float_info.epsilon
 
@@ -187,11 +188,17 @@ class TestEstimateOutflow:
 def _outflow_per_call(U_j, x_j, G, dh, q_in):
     """The outflow and its q_in-slope with every term formed at each call and the
     law's own `evaluate` and `invert`: the formula that the map of
-    `U_j.outflow_map(x_j)` must reproduce bit for bit."""
+    `U_j.outflow_map(x_j)` must reproduce bit for bit. Where a power leaves the
+    float range the map raises one ValueError naming the law and its inputs."""
     a = q_in - G
-    head_in = U_j.evaluate(a)
-    head_out = dh / (1.0 - x_j) - (x_j / (1.0 - x_j)) * head_in
-    b = U_j.invert(head_out)
+    try:
+        head_in = U_j.evaluate(a)
+        head_out = dh / (1.0 - x_j) - (x_j / (1.0 - x_j)) * head_in
+        b = U_j.invert(head_out)
+    except ValueError:
+        raise ValueError(
+            f"{U_j!r}.outflow_map({x_j!r})({G!r}, {dh!r}, {q_in!r}) is beyond the float range"
+        ) from None
     if isinstance(U_j, PowerLaw):
         den = a * head_out
         ratio = head_in * b / den if den else math.nan
@@ -230,10 +237,32 @@ _flows = st.one_of(
 @example(PowerLaw(1.0, 0.5), 0.5, 0.0, 1e300, 1.0)  # invert's power overflows
 @example(PowerLaw(1.0, 1.85), 0.5, 1.0, math.nan, math.inf)
 def test_outflow_map_matches_the_per_call_formula(U_j, x_j, G, dh, q_in):
-    # the same bits, or the same exception: the law's ValueError where a power
+    # the same bits, or the same exception: the map's ValueError where a power
     # leaves the float range
     got = outcome(U_j.outflow_map(x_j), G, dh, q_in)
     assert got == outcome(_outflow_per_call, U_j, x_j, G, dh, q_in)
+
+
+@pytest.mark.parametrize(
+    "law,x_j,dh,a,site,head",
+    [
+        # the section head U(a) = a^1.85 at a = 1e200
+        (PowerLaw(1.0, 1.85), 0.5, 0.0, 1e200, "evaluate", 1e200),
+        # the outlet inverse of the head dh / (1 - x_j) = 1e160 at a = 0
+        (PowerLaw(1.0, 0.5), 1.0 - 1e-10, 1e150, 0.0, "invert", 1e150 / 1e-10),
+    ],
+    ids=["section-head", "outlet-inverse"],
+)
+def test_outflow_map_beyond_the_float_range_names_the_law_and_its_inputs(
+    law, x_j, dh, a, site, head
+):
+    with pytest.raises(ValueError, match=f"{site}.* is beyond the float range"):
+        getattr(law, site)(head)  # the case reaches the site it names
+    pipes = PipeSet((law, Linear(1.0)))
+    G = pipes.admittance_excluding(1, dh)
+    text = f"{law!r}.outflow_map({x_j!r})({G!r}, {dh!r}, {G + a!r}) is beyond the float range"
+    with pytest.raises(ValueError, match=re.escape(text)):
+        estimate_outflow(pipes, 1, x_j, dh, G + a)
 
 
 class _Cubic(HeadLossFn):

@@ -23,7 +23,7 @@ from leakscope import (
 )
 import leakscope
 from leakscope import hydraulics, localization, sensitivity
-from leakscope.rootfind import MAX_ITER, XTOL, NoRootError, newton
+from leakscope.hydraulics import MAX_ITER, XTOL, NoRootError, newton
 from leakscope.sensitivity import MAX_EXPAND, expand_bracket, regula_falsi
 
 EPS = sys.float_info.epsilon
