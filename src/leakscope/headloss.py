@@ -277,11 +277,6 @@ class PipeSet(Value):
             raise IndexError(f"pipe index {j} out of range 1..{self.n}")
         return self._pipes[j - 1]
 
-    def admittance_excluding(self, j: int, dh: float) -> float:
-        """Total flow through all pipes except j at head loss dh."""
-        self.pipe(j)  # range check
-        return self.admittances_excluding(dh)[j - 1]
-
     def admittances_excluding(self, dh: float) -> tuple[float, ...]:
         """Total flow through all pipes except j at head loss dh, for every
         pipe j in pipe order, from the flows of `flows(dh)`."""

@@ -72,15 +72,12 @@ def SqrtLeak() -> PowerLawLeak:
     return PowerLawLeak(C=1.0, beta=0.5, h_y=0.0)
 
 
-LeakFn = PowerLawLeak | FixedDemand
-
-
 class LeakSpec(Value):
     """Leak in pipe k at relative position x along the pipe."""
 
     __slots__ = ("_k", "_x", "_leak")
 
-    def __init__(self, k: int, x: float, leak: LeakFn):
+    def __init__(self, k: int, x: float, leak: PowerLawLeak | FixedDemand):
         if not (type(k) is int and k >= 1):  # a float or bool k is not a pipe index
             raise ValueError(f"pipe index k must be an int >= 1, got {k!r}")
         if not 0.0 < x < 1.0:

@@ -97,7 +97,7 @@ def _leak_head(U_j: HeadLossFn, x_j: float, G: float, h_in: float, q_in: float) 
 
 def apparent_leak_head(pipes: PipeSet, j: int, x_j: float, d: DataPoint) -> float:
     """Head at the hypothesized leak in pipe j, from the inlet side."""
-    return _leak_head(pipes.pipe(j), x_j, pipes.admittance_excluding(j, d.dh), d.h_in, d.q_in)
+    return _leak_head(pipes.pipe(j), x_j, pipes.admittances_excluding(d.dh)[j - 1], d.h_in, d.q_in)
 
 
 def apparent_leak_flow(d: DataPoint) -> float:
@@ -126,16 +126,14 @@ def fit_leak_function(
     samples: list[tuple[float, float]],
     h_y: float = 0.0,
     eps_fit: float = 1e-6,
-    *,
-    j: int = 0,
 ) -> LeakFitResult:
     """Least-squares power-law fit q = C (h - h_y)^beta in log-log space.
 
     Samples with non-positive pressure head are physically unreasonable
-    (outflow against no pressure) and cause outright rejection. `j` is the
-    pipe the result is recorded for; the result keeps the samples.
+    (outflow against no pressure) and cause outright rejection. The result
+    keeps the samples and records pipe 0, since no pipe is named.
     """
-    return _fits({j: [h for h, _ in samples]}, [q for _, q in samples], h_y, eps_fit)[0]
+    return _fits({0: [h for h, _ in samples]}, [q for _, q in samples], h_y, eps_fit)[0]
 
 
 def _fits(

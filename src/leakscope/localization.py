@@ -57,7 +57,7 @@ def residual(pipes: PipeSet, j: int, x_j: float, d: DataPoint) -> float:
     """Head-space residual of the hypothesis "leak in pipe j at x_j"."""
     U_j = pipes.pipe(j)
     dh = d.dh
-    G = pipes.admittance_excluding(j, dh)
+    G = pipes.admittances_excluding(dh)[j - 1]
     return (
         dh
         - x_j * U_j.evaluate(d.q_in - G)
@@ -99,7 +99,7 @@ def _require_outlet(j: int, x_j: float) -> None:
 def candidate_position(pipes: PipeSet, j: int, d: DataPoint) -> float:
     """The unique x_j in (0,1) zeroing the pipe-j residual."""
     dh = d.dh
-    return _position(pipes.pipe(j), j, pipes.admittance_excluding(j, dh), dh, d.q_in, d.q_out)
+    return _position(pipes.pipe(j), j, pipes.admittances_excluding(dh)[j - 1], dh, d.q_in, d.q_out)
 
 
 def all_candidates(pipes: PipeSet, d: DataPoint) -> list[LeakCandidate]:
@@ -117,7 +117,7 @@ def estimate_outflow(
 ) -> float:
     """Outflow implied by (dh, q_in) under the hypothesis (j, x_j)."""
     _require_outlet(j, x_j)
-    return pipes.pipe(j).outflow_map(x_j)(pipes.admittance_excluding(j, dh), dh, q_in)[0]
+    return pipes.pipe(j).outflow_map(x_j)(pipes.admittances_excluding(dh)[j - 1], dh, q_in)[0]
 
 
 def residual_bar(pipes: PipeSet, j: int, x_j: float, d: DataPoint) -> float:
@@ -149,7 +149,7 @@ def complete_data_point(
         def fdf(h: float) -> tuple[float, float]:
             # the residual with the sign that makes it fall as the head rises
             d = DataPoint(**{**values, missing: h})
-            G = pipes.admittance_excluding(j, d.dh)
+            G = pipes.admittances_excluding(d.dh)[j - 1]
             try:
                 Gp = pipes.admittance_derivatives_excluding(d.dh)[j - 1]
                 slope = 1.0 + Gp * (

@@ -71,7 +71,7 @@ class ConfusionFlowCurve(Value):
 
 
 def section_resistances(pipes: PipeSet, i: int, x_i: float, d: DataPoint) -> SectionResistances:
-    return _sections(pipes.pipe(i), x_i, pipes.admittance_excluding(i, d.dh), d)
+    return _sections(pipes.pipe(i), x_i, pipes.admittances_excluding(d.dh)[i - 1], d)
 
 
 def _sections(U_j, x_j: float, G_j: float, d: DataPoint) -> SectionResistances:

@@ -152,11 +152,11 @@ def test_derivative_matches_finite_difference(law, q):
 class TestAdmittance:
     def test_linear_sum(self):
         pipes = PipeSet((Linear(0.1), Linear(0.2), Linear(0.3)))
-        assert pipes.admittance_excluding(2, 1.0) == pytest.approx(1 / 0.1 + 1 / 0.3)
+        assert pipes.admittances_excluding(1.0)[1] == pytest.approx(1 / 0.1 + 1 / 0.3)
 
     def test_zero_at_zero(self):
         pipes = PipeSet((SignedQuadratic(0.05), QuadraticPlusLinear(2.0)))
-        assert pipes.admittance_excluding(1, 0.0) == 0.0
+        assert pipes.admittances_excluding(0.0)[0] == 0.0
 
     def test_example2_value(self):
         pipes = PipeSet(
@@ -165,23 +165,22 @@ class TestAdmittance:
         # quadratic-formula roots of c(q^2+q)=4 for c=4 and c=6
         q2 = (-1.0 + math.sqrt(1.0 + 4.0)) / 2.0
         q3 = (-1.0 + math.sqrt(1.0 + 8.0 / 3.0)) / 2.0
-        assert pipes.admittance_excluding(1, 4.0) == pytest.approx(q2 + q3, abs=1e-12)
+        assert pipes.admittances_excluding(4.0)[0] == pytest.approx(q2 + q3, abs=1e-12)
         assert q2 + q3 == pytest.approx(1.0754, abs=5e-4)
 
     def test_odd_and_increasing(self):
         pipes = PipeSet((SignedQuadratic(0.05), QuadraticPlusLinear(2.0), Linear(0.4)))
-        vals = [pipes.admittance_excluding(1, dh) for dh in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+        vals = [pipes.admittances_excluding(dh)[0] for dh in (-2.0, -1.0, 0.0, 1.0, 2.0)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
-        assert pipes.admittance_excluding(1, -1.5) == pytest.approx(
-            -pipes.admittance_excluding(1, 1.5), abs=1e-12
+        assert pipes.admittances_excluding(-1.5)[0] == pytest.approx(
+            -pipes.admittances_excluding(1.5)[0], abs=1e-12
         )
 
     def test_index_out_of_range(self):
         pipes = PipeSet((Linear(0.1),))
-        with pytest.raises(IndexError):
-            pipes.admittance_excluding(2, 1.0)
-        with pytest.raises(IndexError):
-            pipes.admittance_excluding(0, 1.0)
+        for j in (2, 0):
+            with pytest.raises(IndexError, match=rf"^pipe index {j} out of range 1\.\.1$"):
+                pipes.pipe(j)
 
     def test_derivative_linear(self):
         pipes = PipeSet((Linear(0.1), Linear(0.2), Linear(0.3)))

@@ -259,7 +259,7 @@ def test_outflow_map_beyond_the_float_range_names_the_law_and_its_inputs(
     with pytest.raises(ValueError, match=f"{site}.* is beyond the float range"):
         getattr(law, site)(head)  # the case reaches the site it names
     pipes = PipeSet((law, Linear(1.0)))
-    G = pipes.admittance_excluding(1, dh)
+    G = pipes.admittances_excluding(dh)[0]
     text = f"{law!r}.outflow_map({x_j!r})({G!r}, {dh!r}, {G + a!r}) is beyond the float range"
     with pytest.raises(ValueError, match=re.escape(text)):
         estimate_outflow(pipes, 1, x_j, dh, G + a)
@@ -384,7 +384,7 @@ def residual_and_rounding(pipes, j, x_j, p):
 
     def f(h):
         d = DataPoint(**{**p._asdict(), p.missing: h})
-        G = pipes.admittance_excluding(j, d.dh)
+        G = pipes.admittances_excluding(d.dh)[j - 1]
         try:
             slopes = x_j * U.derivative(d.q_in - G) + (1 - x_j) * U.derivative(d.q_out - G)
         except ValueError:  # unbounded at a zero section flow

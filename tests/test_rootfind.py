@@ -1,3 +1,8 @@
+"""Tests of the forward Newton (`hydraulics.newton`, through `solve_leaky_state` and
+the missing head of `complete_data_point`) and of the confusion curves' bracketed
+fallback (`sensitivity.expand_bracket` and `sensitivity.regula_falsi`). The file keeps
+the name of the `rootfind` module that once held both solvers."""
+
 import math
 import sys
 from decimal import Decimal

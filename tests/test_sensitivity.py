@@ -18,6 +18,7 @@ from leakscope import (
     FixedDemand,
     LeakSpec,
     Linear,
+    PartialDataPoint,
     PipeSet,
     PowerLaw,
     QuadraticPlusLinear,
@@ -25,12 +26,16 @@ from leakscope import (
     SqrtLeak,
     UnboundedDerivativeError,
     all_candidates,
+    apparent_leak_head,
     bundled_scenario,
     candidate_position,
+    complete_data_point,
     confusion_flow_curve,
     detect_inherent_ambiguity,
     estimate_outflow,
     measure,
+    residual,
+    residual_bar,
     residual_differential,
     section_resistances,
     solve_leaky_state,
@@ -55,7 +60,7 @@ class TestSectionResistances:
         pipes, leak = example2
         d = simulate_data(pipes, leak, [(5.0, 1.0)])[0]
         sec = section_resistances(pipes, 1, 0.65, d)
-        G = pipes.admittance_excluding(1, d.dh)
+        G = pipes.admittances_excluding(d.dh)[0]
         U = pipes.pipe(1)
         eps = 1e-6
         for got, q, frac in (
@@ -699,11 +704,23 @@ def test_zero_dh_leak_head_is_within_tolerance_of_the_oracle():
 @pytest.mark.parametrize("bad", [0, 3])
 def test_hypothesis_indices_are_range_checked(bad):
     pipes, leak, d0 = _zero_dh_network()
+    # the single-point calls index the all-but-one row at bad - 1, which must come after
+    # the check: entry -1 of the row would be read silently, and entry 2 raise its own error
+    no_q_out = PartialDataPoint(h_in=d0.h_in, h_out=d0.h_out, q_in=d0.q_in)
+    no_h_in = PartialDataPoint(h_out=d0.h_out, q_in=d0.q_in, q_out=d0.q_out)
     for call in (
         lambda: residual_differential(pipes, bad, 0.4, 1, 0.4, d0),
         lambda: residual_differential(pipes, 2, 0.4, bad, 0.4, d0),
         lambda: zero_dh_sensitivity(pipes, bad, 1, 0.4, d0),
         lambda: zero_dh_sensitivity(pipes, 2, bad, 0.4, d0),
+        lambda: residual(pipes, bad, 0.4, d0),
+        lambda: candidate_position(pipes, bad, d0),
+        lambda: estimate_outflow(pipes, bad, 0.4, d0.dh, d0.q_in),
+        lambda: residual_bar(pipes, bad, 0.4, d0),
+        lambda: complete_data_point(pipes, bad, 0.4, no_q_out),
+        lambda: complete_data_point(pipes, bad, 0.4, no_h_in),
+        lambda: apparent_leak_head(pipes, bad, 0.4, d0),
+        lambda: section_resistances(pipes, bad, 0.4, d0),
     ):
         with pytest.raises(IndexError, match=rf"^pipe index {bad} out of range 1\.\.2$"):
             call()

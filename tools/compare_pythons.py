@@ -2,10 +2,12 @@
 
 Under each interpreter this runs the 35 CLI jobs (each of the 7 commands on
 each of the 5 bundled scenarios, one process a job) and 1,000 `measure` calls
-on mixed-law networks of 4 to 150 pipes with the leak in a drawn pipe. It
-compares each job's exit code and the sha256 of its stdout, its stderr and
-every CSV it writes, and the float.hex of every reading, with the first
-interpreter's. Only the standard library is needed.
+on mixed-law networks of 4 to 150 pipes with the leak in a drawn pipe. At each
+measured point it also reads, for every pipe j, `candidate_position`, and
+`residual`, `residual_bar` and `apparent_leak_head` at the leak's own position.
+It compares each job's exit code and the sha256 of its stdout, its stderr and
+every CSV it writes, and the float.hex of every reading and single-point value,
+with the first interpreter's. Only the standard library is needed.
 
     python tools/compare_pythons.py PYTHON [PYTHON ...]
 
@@ -22,6 +24,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,13 +54,15 @@ def _cli_jobs(env: dict[str, str]) -> dict[str, list]:
     return jobs
 
 
-def _readings() -> tuple[int, str]:
+def _readings() -> tuple[int, str, str]:
     from leakscope import (
         LeakSpec, Linear, PipeSet, PowerLaw, QuadraticPlusLinear, SignedQuadratic, SqrtLeak,
-        measure, solve_leaky_state,
+        apparent_leak_head, candidate_position, measure, residual, residual_bar,
+        solve_leaky_state,
     )
 
-    bits, calls = hashlib.sha256(), 0
+    warnings.simplefilter("ignore")  # a wrong pipe's candidate may fall outside (0, 1)
+    bits, points, calls = hashlib.sha256(), hashlib.sha256(), 0
     for n in SIZES:
         for seed in range(SEEDS):
             rng = random.Random(f"pythons:{n}:{seed}")
@@ -74,14 +79,20 @@ def _readings() -> tuple[int, str]:
                 d = measure(state, pipes, leak)
                 bits.update(f"{d.q_in.hex()} {d.q_out.hex()}\n".encode())
                 calls += 1
-    return calls, bits.hexdigest()
+                for j in range(1, n + 1):
+                    values = (candidate_position(pipes, j, d), residual(pipes, j, leak.x, d),
+                              residual_bar(pipes, j, leak.x, d),
+                              apparent_leak_head(pipes, j, leak.x, d))
+                    points.update(" ".join(v.hex() for v in values).encode() + b"\n")
+    return calls, bits.hexdigest(), points.hexdigest()
 
 
 def _worker() -> None:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     sys.path.insert(0, env["PYTHONPATH"])
-    calls, readings = _readings()
-    digest = {"jobs": _cli_jobs(env), "measure_calls": calls, "readings": readings}
+    calls, readings, points = _readings()
+    digest = {"jobs": _cli_jobs(env), "measure_calls": calls, "readings": readings,
+              "single_point": points}
     json.dump([platform.python_version(), digest], sys.stdout)
 
 
@@ -100,10 +111,12 @@ def main(pythons: list[str]) -> int:
             job for job, got in digest["jobs"].items() if got != digests[0]["jobs"].get(job)
         )
         codes = sorted({code for code, *_ in digest["jobs"].values()})
-        same_readings = digest["readings"] == digests[0]["readings"]
+        same = {key: "equal" if digest[key] == digests[0][key] else "DIFFER"
+                for key in ("readings", "single_point")}
         print(f"{version}: {len(digest['jobs'])} jobs (exit codes {codes}), "
               f"{len(differing)} differ {differing}; {digest['measure_calls']} measure calls, "
-              f"readings {'equal' if same_readings else 'DIFFER'} ({digest['readings'][:16]})")
+              f"readings {same['readings']} ({digest['readings'][:16]}), "
+              f"single-point values {same['single_point']} ({digest['single_point'][:16]})")
     return int(any(d != digests[0] for d in digests))
 
 
