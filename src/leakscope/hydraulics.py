@@ -6,9 +6,9 @@ That map is strictly decreasing in the leak head and has a closed-form
 slope, so a safeguarded Newton finds the unique solution.
 
 `newton(fdf, x)` takes a strictly decreasing f with its slope, fdf(x) = (f, f'),
-and returns a point within XTOL + 4 eps |x| of f's sign change, or its estimate
-after MAX_ITER steps; a slope that is 0 or not finite only picks the side. Its
-second user is the missing-head completion, `localization.complete_data_point`.
+and returns a point within XTOL + 4 eps |x| of f's sign change or raises
+`NoRootError`; a slope that is 0 or not finite only picks the side. Its second
+user is the missing-head completion, `localization.complete_data_point`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from collections.abc import Callable
 from .headloss import PipeSet, Value, _check_positive
 
 EPS = sys.float_info.epsilon
-MAX_ITER = 200  # steps before newton, or sensitivity.regula_falsi, returns its current estimate
+MAX_ITER = 200  # steps before newton raises NoRootError; sensitivity.regula_falsi returns a
+# point of its bracket instead, which sensitivity._solve_point flags by |f|
 XTOL = 1e-13  # the absolute tolerance of newton and sensitivity.regula_falsi
 
 
@@ -120,12 +121,13 @@ class DataPoint(Value):
 
 
 def newton(fdf: Callable[[float], tuple[float, float]], x: float) -> float:
-    """Root of a strictly decreasing f by Newton steps from x, fdf(x) = (f, f'). Until points on
-    both sides bound the root a step is at most 16 (|x| + 1); then one leaving the bounds or over
-    half the last step bisects them (rtsafe, Numerical Recipes 9.4). Where f' is 0 or not finite
-    the sign of f picks the side. Stops at f = 0, at bounds 2 tol apart, tol = 2 eps |x| + XTOL/2,
-    at a step under tol and the last after a Newton step that halved |f|; or when k = step/(last
-    Newton step)^2 repeats, step < 1% of it, k step^2 <= tol."""
+    """Newton steps from x on a strictly decreasing f, fdf(x) = (f, f'), end at its root or
+    `NoRootError` after MAX_ITER steps. Until points on both sides bound the root a step is at most
+    16 (|x| + 1); then one leaving the bounds or over half the last step bisects them (rtsafe,
+    Numerical Recipes 9.4). Where f' is 0 or not finite the sign of f picks the side. Stops at
+    f = 0, at bounds 2 tol apart, tol = 2 eps |x| + XTOL/2, at a step under tol and the last after
+    a Newton step that halved |f|; or when k = step/(last Newton step)^2 repeats, step < 1% of it,
+    k step^2 <= tol."""
     inf, nan, two_eps, half_xtol = math.inf, math.nan, 2.0 * EPS, 0.5 * XTOL
     lo, hi, last, newt, k, f0 = -inf, inf, EPS * abs(x), nan, nan, inf
     for _ in range(MAX_ITER):
@@ -154,7 +156,7 @@ def newton(fdf: Callable[[float], tuple[float, float]], x: float) -> float:
         else:  # bisect
             last, newt, f0 = 0.5 * (lo + hi) - x, nan, nan
         x += last
-    return x
+    raise NoRootError(f"newton found no root in {MAX_ITER} steps; the last point was {x}")
 
 
 def solve_leaky_state(
@@ -168,7 +170,8 @@ def solve_leaky_state(
     h_in - x dh takes f' = -1/(x U_k'(q_in)) - 1/((1-x) U_k'(q_out)) - g'(h), with
     the flows and the first two terms from the law's `section_map(x)`. At dh = 0 both
     section heads vanish there, so it starts from the linear-split head
-    h_in - x U_k((1-x) g(h_in)), exact for a linear law and a fixed demand.
+    h_in - x U_k((1-x) g(h_in)), exact for a linear law and a fixed demand, and not
+    below min(h_y, h_in), since a root at dh = 0 lies in [min(h_y, h_in), h_in].
     """
     if leak.k > pipes.n:
         raise ValueError(f"leaking pipe {leak.k} out of range 1..{pipes.n}")
@@ -181,8 +184,10 @@ def solve_leaky_state(
         g = leak_flow(h)
         return q_in_k - q_out_k - g, -slope - (beta * g / (h - h_y) if g else 0.0)
 
+    dh = h_in - h_out
     try:
-        h_leak = newton(mismatch, h_in - x * (h_in - h_out or U_k.evaluate((1.0 - x) * leak_flow(h_in))))
+        h_leak = newton(mismatch, h_in - x * dh if dh else max(
+            min(h_y, h_in), h_in - x * U_k.evaluate((1.0 - x) * leak_flow(h_in))))
     except ValueError as exc:  # a law's or the leak's flow beyond the float range
         raise NoRootError(f"no leak head balances the boundary heads: {exc}") from exc
 

@@ -132,7 +132,7 @@ def complete_data_point(
 
     Flows are closed-form. A head is the root of the residual, which rises with
     dh at the slope 1 + G'(dh) (x_j U_j'(a) + (1 - x_j) U_j'(b)) for the section
-    flows a and b, found by Newton on that exact slope.
+    flows a and b, found by Newton on that exact slope, or NoRootError.
     """
     if not 0.0 < x_j < 1.0:
         raise ValueError(f"x_j must be in (0,1), got {x_j}")

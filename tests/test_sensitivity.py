@@ -7,7 +7,7 @@ import warnings
 from decimal import Decimal
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracle
 from conftest import simulate_data
@@ -41,10 +41,15 @@ from leakscope import (
     solve_leaky_state,
     zero_dh_sensitivity,
 )
+import leakscope
 from leakscope import sensitivity
+from leakscope.hydraulics import MAX_ITER, XTOL, NoRootError
+from leakscope.sensitivity import MAX_EXPAND, expand_bracket, regula_falsi
 from leakscope.cli import _nominal_point, main as cli_main
 from leakscope.scenario import parse_scenario
 from leakscope.localization import _require_outlet
+
+EPS = sys.float_info.epsilon
 
 
 class TestSectionResistances:
@@ -370,6 +375,163 @@ def test_a_point_without_a_sign_change_keeps_the_newton_q(monkeypatch):
     )
     assert (q, res, ok) == (-4.0, 1.5, False)
     assert expansions == [(-8.0, 0.0)]
+
+
+# -- the bracketed fallback: expand_bracket and regula_falsi ---------------------
+
+
+def no_call(q):
+    raise AssertionError(f"f evaluated at {q}")
+
+
+def test_root_at_an_end_is_returned_exactly():
+    assert regula_falsi(no_call, -0.3, 2.0, 0.0, 5.0) == (-0.3, 0.0)
+    assert regula_falsi(no_call, -0.3, 2.0, -5.0, 0.0) == (2.0, 0.0)
+    assert regula_falsi(no_call, -0.3, 2.0, 0.0, 0.0) == (-0.3, 0.0)
+
+
+@pytest.mark.parametrize("fa,fb", [(1.0, 2.0), (-1.0, -2.0), (5e-324, 1.0)])
+def test_same_sign_bracket_raises(fa, fb):
+    with pytest.raises(NoRootError):
+        regula_falsi(no_call, 0.0, 1.0, fa, fb)
+
+
+def test_one_no_root_error():
+    assert leakscope.NoRootError is leakscope.hydraulics.NoRootError is NoRootError
+    assert sensitivity.NoRootError is NoRootError
+    assert issubclass(NoRootError, ValueError)
+    with pytest.raises(NoRootError, match="no sign change"):
+        expand_bracket(lambda x: 1.0 + x * x, -1.0, 1.0)
+
+
+def test_expand_bracket_takes_a_sign_change_on_its_last_expansion():
+    # after k doublings the bracket [-1, 1] is [1 - 2**(k + 1), 2**(k + 1) - 1]
+    edge = 2.0 ** MAX_EXPAND
+
+    def f(x):
+        return 1.0 if x < edge else -1.0
+
+    assert expand_bracket(f, -1.0, 1.0) == (1.0 - 2 * edge, 2 * edge - 1.0, 1.0, -1.0)
+    with pytest.raises(NoRootError, match="no sign change"):
+        expand_bracket(lambda x: f(0.5 * x), -1.0, 1.0)
+
+
+class Polynomial:
+    """f(t) = scale (t - r_1) ... (t - r_m): each factor keeps the sign of its exact
+    difference, and the product does while it neither overflows nor underflows, so f
+    changes sign exactly at the roots of odd multiplicity."""
+
+    def __init__(self, scale, roots):
+        self.scale, self.roots = scale, roots
+
+    def __call__(self, t):
+        value = self.scale
+        for r in self.roots:
+            value *= t - r
+        return value
+
+    def sign_changes(self):
+        return [r for r in self.roots if self.roots.count(r) % 2]
+
+    def __repr__(self):
+        return f"Polynomial({self.scale!r}, {self.roots!r})"
+
+
+@st.composite
+def bracketed_polynomials(draw):
+    """A polynomial with 1 or 3 roots, some of them clustered or repeated, and a
+    bracket [a, b] that holds them all."""
+    centre = draw(st.floats(-1e3, 1e3) | st.floats(-1e-3, 1e-3))
+    spread = st.sampled_from([0.0, 1e-300, 1e-12, 1e-6, 1.0, 1e3])
+    roots = [centre + draw(spread) * draw(st.floats(-1.0, 1.0))
+             for _ in range(draw(st.sampled_from([1, 3])))]
+    scale = draw(st.floats(1e-3, 1e3)) * draw(st.sampled_from([-1.0, 1.0]))
+    pads = st.floats(1e-12, 1e3) | st.sampled_from([1e-12, 1e-6, 1.0])
+    return Polynomial(scale, roots), min(roots) - draw(pads), max(roots) + draw(pads)
+
+
+@settings(max_examples=500, deadline=None)
+@given(problem=bracketed_polynomials())
+# a triple root at 0 under a wide bracket, where false position rounds onto an end
+@example(problem=(Polynomial(-0.0077, [7.4e-118, 7.2e-265, 4.8e-290]), -615.0, 2.06e-11))
+# a double root beside the simple one, where false position crawls along the flat side
+@example(problem=(Polynomial(-0.53, [-5.008782500689139, -5.008038639460219,
+                                     -5.008038639460219]), -374.5, -4.69))
+# a triple root under a bracket so wide that 4 steps a halving overrun MAX_ITER
+@example(problem=(Polynomial(-1.0, [1e-12, 1e-12, 1e-12]), 0.0, 365.000000000001))
+# f(0) is the least subnormal, which halving once rounded to -0.0 and so to the other side
+@example(problem=(Polynomial(2.0, [-1e-12, 0.0625, -2.225073858507e-311]), -1.000000000001, 1.0625))
+def test_regula_falsi_lands_on_a_sign_change(problem):
+    f, a, b = problem
+    fa, fb = f(a), f(b)
+    assume(fa and fb)
+    calls = []
+    c, fc = regula_falsi(lambda t: calls.append(t) or f(t), a, b, fa, fb)
+    # the mismatch it returns is f at the root it returns, bit for bit
+    assert fc.hex() == f(c).hex()
+    delta = XTOL + 4 * EPS * abs(c)
+    assert not f(c) or any(abs(c - r) <= delta for r in f.sign_changes())
+    # a step bisects where the three before it left the bracket over half as wide, so
+    # the bracket halves at least every 4 steps, and every step bisects once half of
+    # MAX_ITER is spent, until the bracket is XTOL wide
+    halvings = math.ceil(math.log2((b - a) / XTOL))
+    assert len(calls) <= min(4 * halvings, MAX_ITER // 2 + halvings)
+
+
+def test_regula_falsi_bisects_where_false_position_lands_on_an_end():
+    # fb is so small beside fa that the false-position point rounds to b itself,
+    # whose value is known: the step bisects instead of evaluating b again
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1e-300 if t >= 1.0 else -1e300
+
+    c, _ = regula_falsi(f, 0.0, 1.0, -1e300, 1e-300)
+    assert abs(c - 1.0) <= XTOL + 4 * EPS
+    assert calls[0] == 0.5
+
+
+def test_regula_falsi_out_of_steps_returns_a_point_of_the_bracket(monkeypatch):
+    monkeypatch.setattr(sensitivity, "MAX_ITER", 3)
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return math.atan(t - 0.3)
+
+    c, fc = regula_falsi(f, -1e6, 2.0, f(-1e6), f(2.0))
+    assert len(calls) == 2 + 3
+    assert -1e6 <= c <= 2.0 and c == calls[-1]
+    assert fc == f(c) != 0.0
+
+
+LAWS = st.one_of(
+    st.builds(PowerLaw, st.floats(1e-3, 1e3), st.floats(0.1, 3.0)),
+    st.builds(PowerLaw, st.floats(1e-3, 1e3), st.sampled_from([0.5, 1.0, 1.85, 2.0])),
+    st.builds(QuadraticPlusLinear, st.floats(1e-3, 1e3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(law=LAWS, flow=st.floats(-1e6, 1e6) | st.floats(-1e-9, 1e-9))
+def test_root_within_tolerance(law, flow):
+    target = law.evaluate(flow)
+    root = law.invert(target)
+
+    def f(q):
+        return law.evaluate(q) - target
+
+    x, fx = regula_falsi(f, *expand_bracket(f, -1.0, 1.0))
+    assert fx == f(x)
+    # f changes sign within XTOL + 4 eps |x| of the result
+    delta = XTOL + 4 * EPS * abs(x)
+    assert f(x - delta) <= 0.0 <= f(x + delta)
+    # invert and evaluate each round, which moves the sign change of f off
+    # invert(target) by a few ulps; a power law with gamma < 1 magnifies that
+    gamma = getattr(law, "gamma", 1.0)
+    assert abs(x - root) <= delta + 32 * EPS * abs(root) / min(gamma, 1.0)
+
 
 
 def _closure_solve_point(fdf, seed):

@@ -5,9 +5,11 @@ each of the 5 bundled scenarios, one process a job) and 1,000 `measure` calls
 on mixed-law networks of 4 to 150 pipes with the leak in a drawn pipe. At each
 measured point it also reads, for every pipe j, `candidate_position`, and
 `residual`, `residual_bar` and `apparent_leak_head` at the leak's own position.
-It compares each job's exit code and the sha256 of its stdout, its stderr and
-every CSV it writes, and the float.hex of every reading and single-point value,
-with the first interpreter's. Only the standard library is needed.
+Apart from those, it solves four dh = 0 states per network, one of them with a
+strong pressure leak. It compares each job's exit code and the sha256 of its
+stdout, its stderr and every CSV it writes, the float.hex of every reading and
+single-point value, and the float.hex of each dh = 0 state or the text of its
+error, with the first interpreter's. Only the standard library is needed.
 
     python tools/compare_pythons.py PYTHON [PYTHON ...]
 
@@ -54,15 +56,12 @@ def _cli_jobs(env: dict[str, str]) -> dict[str, list]:
     return jobs
 
 
-def _readings() -> tuple[int, str, str]:
+def _networks():
+    """The drawn networks as (n, seed, rng, pipes, leak); rng goes on to draw the states."""
     from leakscope import (
         LeakSpec, Linear, PipeSet, PowerLaw, QuadraticPlusLinear, SignedQuadratic, SqrtLeak,
-        apparent_leak_head, candidate_position, measure, residual, residual_bar,
-        solve_leaky_state,
     )
 
-    warnings.simplefilter("ignore")  # a wrong pipe's candidate may fall outside (0, 1)
-    bits, points, calls = hashlib.sha256(), hashlib.sha256(), 0
     for n in SIZES:
         for seed in range(SEEDS):
             rng = random.Random(f"pythons:{n}:{seed}")
@@ -74,17 +73,50 @@ def _readings() -> tuple[int, str, str]:
             )
             pipes = PipeSet(tuple(makers[i % 4]() for i in range(n)))
             leak = LeakSpec(rng.randint(1, n), rng.uniform(0.2, 0.8), SqrtLeak())
-            for _ in range(STATES):
-                state = solve_leaky_state(pipes, leak, 1.0 + rng.uniform(0.5, 6.0), 1.0)
-                d = measure(state, pipes, leak)
-                bits.update(f"{d.q_in.hex()} {d.q_out.hex()}\n".encode())
-                calls += 1
-                for j in range(1, n + 1):
-                    values = (candidate_position(pipes, j, d), residual(pipes, j, leak.x, d),
-                              residual_bar(pipes, j, leak.x, d),
-                              apparent_leak_head(pipes, j, leak.x, d))
-                    points.update(" ".join(v.hex() for v in values).encode() + b"\n")
+            yield n, seed, rng, pipes, leak
+
+
+def _readings() -> tuple[int, str, str]:
+    from leakscope import (
+        apparent_leak_head, candidate_position, measure, residual, residual_bar,
+        solve_leaky_state,
+    )
+
+    warnings.simplefilter("ignore")  # a wrong pipe's candidate may fall outside (0, 1)
+    bits, points, calls = hashlib.sha256(), hashlib.sha256(), 0
+    for n, _, rng, pipes, leak in _networks():
+        for _ in range(STATES):
+            state = solve_leaky_state(pipes, leak, 1.0 + rng.uniform(0.5, 6.0), 1.0)
+            d = measure(state, pipes, leak)
+            bits.update(f"{d.q_in.hex()} {d.q_out.hex()}\n".encode())
+            calls += 1
+            for j in range(1, n + 1):
+                values = (candidate_position(pipes, j, d), residual(pipes, j, leak.x, d),
+                          residual_bar(pipes, j, leak.x, d),
+                          apparent_leak_head(pipes, j, leak.x, d))
+                points.update(" ".join(v.hex() for v in values).encode() + b"\n")
     return calls, bits.hexdigest(), points.hexdigest()
+
+
+def _zero_dh() -> str:
+    """The dh = 0 solves, drawn apart from `_readings` so its digests do not move: per
+    network, the drawn leak at a low, a high and a below-elevation head, and a strong
+    pressure leak whose linear-split start falls below its elevation."""
+    from leakscope import NoRootError, PowerLawLeak, solve_leaky_state
+
+    digest = hashlib.sha256()
+    for n, seed, _, pipes, leak in _networks():
+        rng = random.Random(f"pythons:zero-dh:{n}:{seed}")
+        strong = leak.replace(leak=PowerLawLeak(rng.uniform(100.0, 1000.0), 2.0, 1.0))
+        for spec, h in ((leak, rng.uniform(0.5, 7.0)), (leak, rng.uniform(1e3, 1e6)),
+                        (leak, -rng.uniform(0.5, 7.0)), (strong, rng.uniform(1e3, 1e5))):
+            try:
+                s = solve_leaky_state(pipes, spec, h, h)
+                line = f"{s.h_leak.hex()} {s.q_in_k.hex()} {s.q_out_k.hex()}"
+            except NoRootError as exc:
+                line = str(exc)
+            digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
 
 
 def _worker() -> None:
@@ -92,7 +124,7 @@ def _worker() -> None:
     sys.path.insert(0, env["PYTHONPATH"])
     calls, readings, points = _readings()
     digest = {"jobs": _cli_jobs(env), "measure_calls": calls, "readings": readings,
-              "single_point": points}
+              "single_point": points, "zero_dh": _zero_dh()}
     json.dump([platform.python_version(), digest], sys.stdout)
 
 
@@ -112,11 +144,12 @@ def main(pythons: list[str]) -> int:
         )
         codes = sorted({code for code, *_ in digest["jobs"].values()})
         same = {key: "equal" if digest[key] == digests[0][key] else "DIFFER"
-                for key in ("readings", "single_point")}
+                for key in ("readings", "single_point", "zero_dh")}
         print(f"{version}: {len(digest['jobs'])} jobs (exit codes {codes}), "
               f"{len(differing)} differ {differing}; {digest['measure_calls']} measure calls, "
               f"readings {same['readings']} ({digest['readings'][:16]}), "
-              f"single-point values {same['single_point']} ({digest['single_point'][:16]})")
+              f"single-point values {same['single_point']} ({digest['single_point'][:16]}), "
+              f"dh = 0 solves {same['zero_dh']} ({digest['zero_dh'][:16]})")
     return int(any(d != digests[0] for d in digests))
 
 
