@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import csv
 import os
 import sys
@@ -227,31 +226,108 @@ _COMMANDS = {
     "leakfit": _cmd_leakfit,
     "check": _cmd_check,
 }
+_CHOICES = "{" + ",".join(sorted(_COMMANDS)) + "}"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="leakscope",
-        description="Leak localization toolkit for parallel pipe networks",
-    )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--scenario", required=True, help="scenario JSON file")
-    parser.add_argument("--out", required=True, help="output directory for CSV files")
-    parser.add_argument("--nominal-dh", type=float, default=None,
-                        help="head loss of the nominal data point")
-    parser.add_argument("--eps-spread", type=float, default=None,
-                        help="candidate spread tolerance for isolation")
-    parser.add_argument("--eps-fit", type=float, default=None,
-                        help="rmse tolerance for leak function fits")
-    return parser
+# each option, given as `--flag value` or `--flag=value`: its help text, the
+# function that reads its value, and whether it is required
+_OPTIONS = {
+    "--scenario": ("scenario JSON file", str, True),
+    "--out": ("output directory for CSV files", str, True),
+    "--nominal-dh": ("head loss of the nominal data point", float, False),
+    "--eps-spread": ("candidate spread tolerance for isolation", float, False),
+    "--eps-fit": ("rmse tolerance for leak function fits", float, False),
+}
+
+
+def _name(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _usage() -> str:
+    """The usage lines, wrapped at 80 columns as argparse wraps them: the
+    options after the program name, then the commands on a line of their own."""
+    indent = " " * len("usage: leakscope ")
+    lines = ["usage: leakscope [-h]"]
+    for flag, (_, _, required) in _OPTIONS.items():
+        part = f"{flag} {_name(flag).upper()}"
+        part = part if required else f"[{part}]"
+        if len(lines[-1]) + 1 + len(part) > 78:
+            lines.append(indent + part)
+        else:
+            lines[-1] += " " + part
+    return "\n".join([*lines, indent + _CHOICES])
+
+
+def _help() -> str:
+    """The help text, laid out as argparse lays it out at 80 columns."""
+    rows = [("-h, --help", "show this help message and exit")] + [
+        (f"{flag} {_name(flag).upper()}", text) for flag, (text, _, _) in _OPTIONS.items()
+    ]
+    return "\n".join([
+        _usage(), "", "Leak localization toolkit for parallel pipe networks", "",
+        "positional arguments:", "  " + _CHOICES, "", "options:",
+        *(f"  {inv:20}  {text}" if len(inv) <= 20 else f"  {inv}\n{'':24}{text}"
+          for inv, text in rows),
+    ])
+
+
+def _read_args(argv: list[str], problems: list[str]) -> dict | None:
+    """The command and each option by its snake-case name, None where not
+    given; None for -h or --help. A flag takes the next word as its value,
+    whatever it is, and a repeated flag keeps its last value; flags are not
+    abbreviated, and every word after `--` is positional. Each problem is
+    recorded as one line of `problems`."""
+    args = dict.fromkeys(["command", *map(_name, _OPTIONS)])
+    positional: list[str] = []
+    words = iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            return None
+        if word == "--":
+            positional.extend(words)
+            break
+        if not word.startswith("-"):
+            positional.append(word)
+            continue
+        flag, eq, value = word.partition("=")
+        if flag not in _OPTIONS:
+            problems.append(f"{flag}: unknown option")
+        elif not eq and (value := next(words, None)) is None:
+            problems.append(f"{flag}: expected a value")
+        else:
+            try:
+                args[_name(flag)] = _OPTIONS[flag][1](value)
+            except ValueError:
+                problems.append(f"{flag}: expected a number, got {value!r}")
+    commands = ", ".join(sorted(_COMMANDS))
+    if not positional:
+        problems.append(f"a command is required: one of {commands}")
+    elif positional[0] in _COMMANDS:
+        args["command"] = positional[0]
+    else:
+        problems.append(f"command: expected one of {commands}, got {positional[0]!r}")
+    problems += [f"unexpected argument {word!r}" for word in positional[1:]]
+    problems += [f"{flag} is required" for flag, (_, _, required) in _OPTIONS.items()
+                 if required and args[_name(flag)] is None]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line (sys.argv[1:] by default) and return its exit
+    code: 0 for help, 2 for a malformed command line or an invalid scenario,
+    1 when the command could not run or no row succeeded."""
     problems: list[str] = []
-    overrides = read_options(vars(args), lambda name: "--" + name.replace("_", "-"), problems)
+    args = _read_args(sys.argv[1:] if argv is None else argv, problems)
+    if args is None:
+        print(_help())
+        return 0
+    if problems:
+        print(_usage(), *(f"error: {problem}" for problem in problems), sep="\n", file=sys.stderr)
+        return 2
+    overrides = read_options(args, lambda name: "--" + name.replace("_", "-"), problems)
     try:
-        sc = parse_scenario(args.scenario)
+        sc = parse_scenario(args["scenario"])
     except ScenarioError as exc:
         problems += exc.problems
     if problems:
@@ -260,8 +336,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     sc = sc.replace(analysis=sc.analysis.replace(**overrides))
     try:
-        os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](sc, args.out)
+        os.makedirs(args["out"], exist_ok=True)
+        return _COMMANDS[args["command"]](sc, args["out"])
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

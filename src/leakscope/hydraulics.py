@@ -172,9 +172,15 @@ def solve_leaky_state(
     section heads vanish there, so it starts from the linear-split head
     h_in - x U_k((1-x) g(h_in)), exact for a linear law and a fixed demand, and not
     below min(h_y, h_in), since a root at dh = 0 lies in [min(h_y, h_in), h_in].
+    A boundary head that is not finite raises NoRootError before any evaluation.
     """
     if leak.k > pipes.n:
         raise ValueError(f"leaking pipe {leak.k} out of range 1..{pipes.n}")
+    if not (math.isfinite(h_in) and math.isfinite(h_out)):
+        name, h = ("h_in", h_in) if not math.isfinite(h_in) else ("h_out", h_out)
+        raise NoRootError(
+            f"no leak head balances the boundary heads: {name} = {h!r} is not finite"
+        )
     U_k, fn, x = pipes.pipe(leak.k), leak.leak, leak.x
     section, leak_flow = U_k.section_map(x), fn.flow
     beta, h_y = (fn.beta, fn.h_y) if isinstance(fn, PowerLawLeak) else (0.0, -math.inf)

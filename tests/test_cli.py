@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -6,12 +8,13 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from leakscope import bundled_scenario, parse_scenario
-from leakscope.cli import main
+from leakscope.cli import _COMMANDS, _read_args, main
 from leakscope.scenario import Scenario, ScenarioError, load_scenario
 
 NAN = float("nan")
@@ -781,3 +784,153 @@ def test_readings_beyond_the_float_range_are_written_as_inf(tmp_path):
     assert run("simulate", path, tmp_path) == 0
     (row,) = csv.DictReader((tmp_path / "simulate.csv").read_text().splitlines())
     assert (row["q_in"], row["q_out"], row["error"]) == ("inf", "inf", "")
+
+
+# -- the command line ------------------------------------------------------------
+
+
+def reference_parser():
+    """The argparse parser that read the command line before the CLI's own reader:
+    the reference that reader is checked against."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="leakscope",
+        description="Leak localization toolkit for parallel pipe networks",
+    )
+    parser.add_argument("command", choices=sorted(_COMMANDS))
+    parser.add_argument("--scenario", required=True, help="scenario JSON file")
+    parser.add_argument("--out", required=True, help="output directory for CSV files")
+    parser.add_argument("--nominal-dh", type=float, default=None,
+                        help="head loss of the nominal data point")
+    parser.add_argument("--eps-spread", type=float, default=None,
+                        help="candidate spread tolerance for isolation")
+    parser.add_argument("--eps-fit", type=float, default=None,
+                        help="rmse tolerance for leak function fits")
+    return parser
+
+
+def call(fn, *args):
+    """fn(*args) with standard output and error captured: (result, stdout, stderr),
+    where the result of a SystemExit is ("exit", code)."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = fn(*args)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+USAGE = [
+    "usage: leakscope [-h] --scenario SCENARIO --out OUT [--nominal-dh NOMINAL_DH]",
+    "                 [--eps-spread EPS_SPREAD] [--eps-fit EPS_FIT]",
+    "                 {candidates,check,confusion,isolate,leakfit,residual-sweep,simulate}",
+]
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_is_argparses_text_at_80_columns(flag):
+    _, help_text, _ = call(reference_parser().print_help)
+    assert help_text.splitlines()[:3] == USAGE
+    assert call(main, [flag]) == (0, help_text, "")
+    # help ends the reading wherever it stands, even after a malformed word
+    assert call(main, ["bogus", "--scen", "x", flag, "--out"]) == (0, help_text, "")
+
+
+@pytest.mark.parametrize(
+    "argv,errors",
+    [
+        ([], ["a command is required: one of candidates, check, confusion, isolate, "
+              "leakfit, residual-sweep, simulate", "--scenario is required", "--out is required"]),
+        (["check", "--scenario", "s.json"], ["--out is required"]),
+        (["chek", "--scenario", "s.json", "--out", "o"],
+         ["command: expected one of candidates, check, confusion, isolate, leakfit, "
+          "residual-sweep, simulate, got 'chek'"]),
+        (["check", "--scen", "s.json", "--scenario=s.json", "--out", "o"],
+         ["--scen: unknown option", "unexpected argument 's.json'"]),
+        (["check", "--scenario", "s.json", "--out"], ["--out: expected a value", "--out is required"]),
+        (["check", "--scenario", "s.json", "--out", "o", "--eps-fit=abc", "--nominal-dh", ""],
+         ["--eps-fit: expected a number, got 'abc'", "--nominal-dh: expected a number, got ''"]),
+        (["check", "--scenario", "s.json", "--out", "o", "--", "isolate", "-h"],
+         ["unexpected argument 'isolate'", "unexpected argument '-h'"]),
+    ],
+    ids=["empty", "missing-out", "unknown-command", "abbreviation", "no-value", "not-a-number",
+         "after-separator"],
+)
+def test_malformed_command_line_prints_usage_and_one_error_line_per_problem(
+    tmp_path, monkeypatch, argv, errors
+):
+    monkeypatch.chdir(tmp_path)
+    assert call(main, argv) == (2, "", "\n".join(USAGE + [f"error: {e}" for e in errors]) + "\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+SCENARIO = str(bundled_scenario("example2"))
+FLAGS = ["--scenario", "--out", "--nominal-dh", "--eps-spread", "--eps-fit"]
+ABBREVIATIONS = ["--scen", "--o", "--nominal", "--eps", "--eps-s", "--h"]
+VALUES = ["nan", "-1", "1e400", "abc", "", "4.0", "1e-30", "-inf", " 2 ", "1_0", "out",
+          "-x", "-h", SCENARIO]
+STRAYS = ["stray", "", "-", "-1", "-x", "--x", "--help=x", "simulate", "check", "--"]
+
+
+def option(flag, value):
+    return st.sampled_from([[flag, value], [f"{flag}={value}"]])
+
+
+@st.composite
+def command_lines(draw):
+    """Command lines of commands, options in both forms with odd values, abbreviated
+    and valueless flags, help, the separator and stray words, in any order; half of
+    them hold a command, a scenario and an output directory, so argparse accepts many."""
+    values = st.sampled_from(VALUES)
+    piece = st.one_of(
+        st.sampled_from(sorted(_COMMANDS)).map(lambda word: [word]),
+        st.tuples(st.sampled_from(FLAGS + ABBREVIATIONS), values).flatmap(lambda fv: option(*fv)),
+        st.sampled_from(FLAGS + ["-h", "--help"] + STRAYS).map(lambda word: [word]),
+    )
+    pieces = draw(st.lists(piece, max_size=6))
+    if draw(st.booleans()):
+        pieces += [[draw(st.sampled_from(sorted(_COMMANDS)))], draw(option("--scenario", SCENARIO)),
+                   draw(option("--out", draw(st.sampled_from(["out", "nan", "", SCENARIO]))))]
+    return [word for p in draw(st.permutations(pieces)) for word in p]
+
+
+def _bits(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.filterwarnings("ignore:candidate position")
+@settings(max_examples=300, deadline=None)
+@given(argv=command_lines())
+@example(argv=["--scenario", SCENARIO, "--out", "out", "check", "--"])
+@example(argv=["--", "isolate", "--scenario", SCENARIO, "--out", "out"])
+@example(argv=["check", "--out=out", "--scenario", SCENARIO, "--nominal-dh", "-1",
+               "--eps-fit= 2 ", "--eps-spread", "1e400", "--out", ""])
+@example(argv=["check", "--scen", SCENARIO, "--out", "out"])
+def test_any_command_line_reads_as_argparse_read_it(argv):
+    parsed, help_text, _ = call(reference_parser().parse_args, argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            code, out, err = call(main, argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if {word.partition("=")[0] for word in argv} & {*ABBREVIATIONS}:
+        pass  # argparse takes abbreviations, the reader refuses them
+    elif parsed == ("exit", 0):  # argparse printed its help
+        assert (code, out) == (0, help_text)
+    elif parsed != ("exit", 2):
+        problems = []
+        args = _read_args(argv, problems)
+        assert problems == []
+        assert {k: _bits(v) for k, v in args.items()} == {
+            k: _bits(v) for k, v in vars(parsed).items()
+        }
+    if err.startswith("usage: "):  # a malformed command line
+        lines = err.splitlines()
+        assert code == 2 and lines[:3] == USAGE and lines[3:]
+        assert all(line.startswith("error: ") for line in lines[3:])

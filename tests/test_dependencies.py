@@ -87,6 +87,18 @@ def test_command_loads_only_its_modules(command, scenario, tmp_path):
     assert {m for m in loaded if m.startswith("leakscope")} == want
 
 
+def test_a_command_loads_no_argparse_or_gettext(tmp_path):
+    # the CLI reads its six words itself; argparse and the gettext it imports
+    # cost about 2 ms of every job's start-up
+    argv = ["check", "--scenario", str(leakscope.bundled_scenario("example1")),
+            f"--out={tmp_path}"]
+    loaded = _modules_loaded_by(
+        f"import sys; sys.argv[1:] = {argv!r}; from leakscope.cli import main; assert main() == 0"
+    )
+    assert "leakscope.cli" in loaded
+    assert not loaded & {"argparse", "gettext"}
+
+
 # -- the package's lazy exports (PEP 562), each in a fresh interpreter ----------
 
 

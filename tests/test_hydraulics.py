@@ -290,12 +290,15 @@ def test_no_root_error_when_a_section_flow_overflows():
 
 
 @pytest.mark.parametrize("h_in, h_out", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
-def test_no_root_error_for_a_boundary_head_that_is_not_finite(h_in, h_out):
-    # each step's mismatch is NaN, so newton spends its steps and raises; it once
-    # returned its NaN estimate, which passed for a solved state
+def test_no_root_error_for_a_boundary_head_that_is_not_finite(monkeypatch, h_in, h_out):
+    # refused before the solve, where every mismatch would be NaN: no leak-law call
     pipes = PipeSet((Linear(0.1), Linear(0.2)))
-    with pytest.raises(NoRootError, match=f"found no root in {MAX_ITER} steps"):
+    calls = count_leak_law_calls(monkeypatch)
+    name, h = ("h_in", h_in) if not math.isfinite(h_in) else ("h_out", h_out)
+    with pytest.raises(NoRootError, match=f"^no leak head balances the boundary heads: "
+                                          f"{name} = {h!r} is not finite$"):
         solve_leaky_state(pipes, LeakSpec(1, 0.5, SqrtLeak()), h_in, h_out)
+    assert calls == []
 
 
 def test_invalid_leak_spec():

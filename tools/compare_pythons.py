@@ -9,7 +9,9 @@ Apart from those, it solves four dh = 0 states per network, one of them with a
 strong pressure leak. It compares each job's exit code and the sha256 of its
 stdout, its stderr and every CSV it writes, the float.hex of every reading and
 single-point value, and the float.hex of each dh = 0 state or the text of its
-error, with the first interpreter's. Only the standard library is needed.
+error, with the first interpreter's. It also compares the exit code and the
+sha256 of stdout and stderr of `--help` and of two malformed command lines, a
+missing `--out` and `--eps-fit=abc`. Only the standard library is needed.
 
     python tools/compare_pythons.py PYTHON [PYTHON ...]
 
@@ -53,6 +55,23 @@ def _cli_jobs(env: dict[str, str]) -> dict[str, list]:
                 )
                 csvs = {p.name: _sha(p.read_bytes()) for p in sorted(out.glob("*.csv"))}
                 jobs[out.name] = [done.returncode, _sha(done.stdout), _sha(done.stderr), csvs]
+    return jobs
+
+
+def _usage_jobs(env: dict[str, str]) -> dict[str, list]:
+    """Help and two malformed command lines, which the CLI's own reader answers."""
+    scenario = str(SCENARIOS / "example1.json")
+    lines = {
+        "help": ["--help"],
+        "missing-out": ["check", "--scenario", scenario],
+        "eps-fit-abc": ["leakfit", "--scenario", scenario, "--out", "out", "--eps-fit=abc"],
+    }
+    jobs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in lines.items():
+            done = subprocess.run([sys.executable, "-m", "leakscope.cli", *argv],
+                                  cwd=tmp, env=env, capture_output=True, check=False)
+            jobs[name] = [done.returncode, _sha(done.stdout), _sha(done.stderr)]
     return jobs
 
 
@@ -123,8 +142,8 @@ def _worker() -> None:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     sys.path.insert(0, env["PYTHONPATH"])
     calls, readings, points = _readings()
-    digest = {"jobs": _cli_jobs(env), "measure_calls": calls, "readings": readings,
-              "single_point": points, "zero_dh": _zero_dh()}
+    digest = {"jobs": _cli_jobs(env), "usage": _usage_jobs(env), "measure_calls": calls,
+              "readings": readings, "single_point": points, "zero_dh": _zero_dh()}
     json.dump([platform.python_version(), digest], sys.stdout)
 
 
@@ -144,9 +163,11 @@ def main(pythons: list[str]) -> int:
         )
         codes = sorted({code for code, *_ in digest["jobs"].values()})
         same = {key: "equal" if digest[key] == digests[0][key] else "DIFFER"
-                for key in ("readings", "single_point", "zero_dh")}
+                for key in ("usage", "readings", "single_point", "zero_dh")}
+        usage = {name: code for name, (code, *_) in digest["usage"].items()}
         print(f"{version}: {len(digest['jobs'])} jobs (exit codes {codes}), "
-              f"{len(differing)} differ {differing}; {digest['measure_calls']} measure calls, "
+              f"{len(differing)} differ {differing}; help and usage errors {same['usage']} "
+              f"(exit codes {usage}); {digest['measure_calls']} measure calls, "
               f"readings {same['readings']} ({digest['readings'][:16]}), "
               f"single-point values {same['single_point']} ({digest['single_point'][:16]}), "
               f"dh = 0 solves {same['zero_dh']} ({digest['zero_dh'][:16]})")
