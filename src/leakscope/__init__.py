@@ -12,14 +12,14 @@ _MODULE_NAMES = {
     "headloss": "Linear PipeSet PowerLaw QuadraticPlusLinear SignedQuadratic "
     "UnboundedDerivativeError detect_inherent_ambiguity",
     "hydraulics": "DataPoint FixedDemand HydraulicState LeakSpec NoRootError PowerLawLeak "
-    "SqrtLeak head_profile measure solve_leaky_state sweep",
-    "isolation": "IsolationVerdict LeakFitResult TooFewPointsError apparent_leak_flow "
-    "apparent_leak_head fit_leak_function isolate_by_consistency isolate_by_leak_fit",
+    "SqrtLeak measure solve_leaky_state sweep",
+    "isolation": "IsolationVerdict LeakFitResult TooFewPointsError apparent_leak_head "
+    "fit_leak_function isolate_by_consistency isolate_by_leak_fit",
     "localization": "LeakCandidate NoLeakError PartialDataPoint all_candidates "
     "candidate_position complete_data_point estimate_outflow residual residual_bar",
     "scenario": "Scenario ScenarioError parse_scenario",
-    "sensitivity": "ConfusionFlowCurve SectionResistances confusion_flow_curve "
-    "residual_differential section_resistances zero_dh_sensitivity",
+    "sensitivity": "ConfusionFlowCurve confusion_flow_curve residual_differential "
+    "zero_dh_sensitivity",
 }
 _EXPORTS = {name: module for module, names in _MODULE_NAMES.items() for name in names.split()}
 _SUBMODULES = {*_MODULE_NAMES, "cli"}

@@ -250,17 +250,3 @@ def sweep(
         raise NoRootError(f"all {len(boundary_list)} boundary pairs failed to solve")
     return SweepResult(points=tuple(points), errors=errors)
 
-
-def head_profile(
-    state: HydraulicState, pipes: PipeSet, leak: LeakSpec, i: int, z: float
-) -> float:
-    """Head at relative position z along pipe i (piecewise linear)."""
-    pipes.pipe(i)  # range check
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"relative position z must be in [0,1], got {z}")
-    if i != leak.k:
-        return state.h_in - z * state.dh
-    x = leak.x
-    if z <= x:
-        return state.h_in - (z / x) * (state.h_in - state.h_leak)
-    return state.h_leak - ((z - x) / (1.0 - x)) * (state.h_leak - state.h_out)

@@ -1,9 +1,10 @@
 """Multi-data-point isolation of the leaking pipe.
 
 Two complementary procedures: candidate-consistency across hydraulic
-states (the leak must not move as the pressures vary), and power-law leak
-function fitting against each pipe's apparent leak head (resolves the
-otherwise hopeless all-linear case).
+states (the leak must not move as the pressures vary; a pipe whose candidate
+is not finite at some state is undetermined, neither picked nor rejected),
+and power-law fitting of the leak flow q_in - q_out against each pipe's
+apparent leak head (resolves the otherwise hopeless all-linear case).
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ class TooFewPointsError(ValueError):
 
 class IsolationVerdict(Value):
     """`candidate_pipes` is empty when the verdict is isolated or when no
-    pipe is plausible (has a spread within `eps_spread`)."""
+    pipe is plausible (has a spread within `eps_spread`). A pipe with a
+    candidate that is not finite is undetermined: its spread is NaN, it is not
+    plausible, and the verdict is not isolated."""
 
     __slots__ = ("_candidate_series", "_spreads", "_isolated", "_k_hat", "_x_hat",
                  "_candidate_pipes", "_reason")
@@ -61,24 +64,32 @@ def isolate_by_consistency(
     # none, so _position's warning names this function's caller
     for j, U_j, G_j in zip(count(1), pipes.pipes, columns):
         series[j] = tuple(map(_position, repeat(U_j), repeat(j), G_j, dh, q_in, q_out))
-    spreads = {j: max(s) - min(s) for j, s in series.items()}
+    # max and min skip a NaN that is not first, so a series with a non-finite
+    # candidate has no spread: its pipe is undetermined, neither plausible nor
+    # rejected. A finite series' spread is never NaN.
+    spreads = {
+        j: max(s) - min(s) if all(map(math.isfinite, s)) else math.nan
+        for j, s in series.items()
+    }
+    undetermined = [j for j, sp in spreads.items() if math.isnan(sp)]
     plausible = sorted(j for j, sp in spreads.items() if sp <= eps_spread)
 
-    k_hat = plausible[0] if len(plausible) == 1 else None
-    reason = ""
-    if not plausible:
-        reason = "no pipe has a consistent candidate position"
-    elif k_hat is None:
-        ambiguous = detect_inherent_ambiguity(pipes)
+    k_hat = plausible[0] if len(plausible) == 1 and not undetermined else None
+    reasons = []
+    if len(plausible) > 1:
         pair_reasons = [
-            f"pipes {a}-{b} {why}" for (a, b), why in ambiguous
+            f"pipes {a}-{b} {why}" for (a, b), why in detect_inherent_ambiguity(pipes)
             if a in plausible and b in plausible
         ]
-        reason = (
-            "; ".join(pair_reasons)
-            if pair_reasons
-            else "multiple pipes have consistent candidate positions"
+        reasons.append(
+            "; ".join(pair_reasons) or "multiple pipes have consistent candidate positions"
         )
+    if undetermined:
+        pipe_s = "pipes" if len(undetermined) > 1 else "pipe"
+        names = " ".join(map(str, undetermined))
+        reasons.append(f"{pipe_s} {names} undetermined: a candidate position is not finite")
+    elif not plausible:
+        reasons.append("no pipe has a consistent candidate position")
     return IsolationVerdict(
         candidate_series=series,
         spreads=spreads,
@@ -87,7 +98,7 @@ def isolate_by_consistency(
         # fsum rounds once; sum() accumulates differently from Python 3.12 on
         x_hat=None if k_hat is None else math.fsum(series[k_hat]) / len(series[k_hat]),
         candidate_pipes=frozenset(plausible if k_hat is None else ()),
-        reason=reason,
+        reason="; ".join(reasons),
     )
 
 
@@ -98,11 +109,6 @@ def _leak_head(U_j: HeadLossFn, x_j: float, G: float, h_in: float, q_in: float) 
 def apparent_leak_head(pipes: PipeSet, j: int, x_j: float, d: DataPoint) -> float:
     """Head at the hypothesized leak in pipe j, from the inlet side."""
     return _leak_head(pipes.pipe(j), x_j, pipes.admittances_excluding(d.dh)[j - 1], d.h_in, d.q_in)
-
-
-def apparent_leak_flow(d: DataPoint) -> float:
-    """Leak flow implied by the boundary flows; pipe-independent."""
-    return d.q_in - d.q_out
 
 
 class LeakFitResult(Value):
@@ -201,5 +207,5 @@ def isolate_by_leak_fit(
         j: tuple(map(_leak_head, repeat(U_j), repeat(candidates[j]), columns[j - 1], h_in, q_in))
         for j, U_j in laws.items()
     }
-    results = _fits(heads, list(map(apparent_leak_flow, data)), h_y, eps_fit)
+    results = _fits(heads, [d.q_in - d.q_out for d in data], h_y, eps_fit)
     return sorted(results, key=lambda r: (r.negative_head, r.rmse, r.j))

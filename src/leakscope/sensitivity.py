@@ -1,9 +1,9 @@
 """First-order analysis of the flow-space residual.
 
 Quantifies how the wrong-pipe residual reacts to perturbations of the
-hydraulic state: section resistances, the residual differential, confusion
-flow curves along which a wrong pipe stays plausible, and the
-zero-head-loss sensitivity formula.
+hydraulic state: the residual differential, formed from each hypothesis's
+section resistances (`_sections`), confusion flow curves along which a wrong
+pipe stays plausible, and the zero-head-loss sensitivity formula.
 
 A confusion-curve point solves for the q_in at which the true leak and pipe
 i's hypothesis imply the same outflow, by Newton steps on the exact slope
@@ -68,10 +68,6 @@ class ConfusionFlowCurve(Value):
     ):
         self._i, self._dh_grid, self._q_in_conf = i, dh_grid, q_in_conf
         self._residual_trace, self._converged = residual_trace, converged
-
-
-def section_resistances(pipes: PipeSet, i: int, x_i: float, d: DataPoint) -> SectionResistances:
-    return _sections(pipes.pipe(i), x_i, pipes.admittances_excluding(d.dh)[i - 1], d)
 
 
 def _sections(U_j, x_j: float, G_j: float, d: DataPoint) -> SectionResistances:

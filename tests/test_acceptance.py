@@ -24,7 +24,6 @@ from leakscope import (
     complete_data_point,
     confusion_flow_curve,
     estimate_outflow,
-    fit_leak_function,
     isolate_by_consistency,
     isolate_by_leak_fit,
     measure,

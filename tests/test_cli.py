@@ -669,6 +669,23 @@ OVERFLOWING_READINGS = {
     "boundary": [[100000001.0, 1.0]],
     "analysis": {"nominal_dh": 1e8, "dh_grid": [1e8]},
 }
+# section head losses beyond the float range give pipes 1 and 3 a NaN candidate at
+# every row; pipe 3's law inverts the last row's head loss to NaN, so that row reads
+# NaN flows and pipe 2's candidate there is NaN too, whichever row comes first
+NAN_CANDIDATES = {
+    "pipes": [
+        {"type": "quadratic_plus_linear", "c": 7.20923081914773e-06},
+        {"type": "linear", "R": 56.18790460061973},
+        {"type": "quadratic_plus_linear", "c": 1.3677736446636803e-192},
+    ],
+    "leak": {"k": 2, "x": 0.1, "fn": {"type": "fixed_demand", "q_leak": 3.006105051331784e190}},
+    "boundary": [
+        [7.49322262898018, 7.49322262898018],
+        [7.49322262898018, 7.49322262898018],
+        [7.49322262898118, 7.49322262898018],
+        [7.718084489274386e160, 7.49322262898018],
+    ],
+}
 
 
 @pytest.mark.filterwarnings("ignore:candidate position")
@@ -681,6 +698,7 @@ OVERFLOWING_READINGS = {
 @example(doc=TINY_C)
 @example(doc=STEEP_POWER)
 @example(doc=OVERFLOWING_READINGS)
+@example(doc=NAN_CANDIDATES)
 def test_no_command_ends_in_a_traceback(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
@@ -765,6 +783,20 @@ def assert_error_rows_or_line(tmp_path, capsys, doc, command, code, files, error
     rows = list(csv.reader((out / files[0]).read_text().splitlines()[1:]))
     assert sum(bool(row[-1]) for row in rows) == error_rows == len(rows)
     return [row[-1] for row in rows]
+
+
+@pytest.mark.filterwarnings("ignore:candidate position")
+@pytest.mark.parametrize("order", [1, -1], ids=["rows-in-order", "rows-reversed"])
+def test_a_nan_candidate_leaves_its_pipe_undetermined_in_any_row_order(tmp_path, order):
+    path = tmp_path / "doc.json"
+    doc = {**NAN_CANDIDATES, "boundary": NAN_CANDIDATES["boundary"][::order]}
+    path.write_text(json.dumps(doc))
+    assert run("isolate", path, tmp_path) == 0
+    assert (tmp_path / "isolate_summary.csv").read_text().splitlines()[1] == (
+        "false,,,,pipes 1 2 3 undetermined: a candidate position is not finite"
+    )
+    spreads = (tmp_path / "isolate_spreads.csv").read_text().splitlines()
+    assert spreads == ["pipe,spread,plausible", "1,nan,false", "2,nan,false", "3,nan,false"]
 
 
 def test_overflowing_fit_ranks_before_negative_head(tmp_path):

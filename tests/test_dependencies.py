@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import os
 import pkgutil
@@ -167,6 +168,21 @@ def test_a_module_loaded_during_a_swap_keeps_no_copy_of_it():
         "for v in vars(m).values() if v is swapped])"
     )
     assert _python(code).strip() == "[]"
+
+
+def test_every_name_the_bench_tracer_wraps_exists():
+    # bench/run.py --trace 1 wraps these names and stops at the first one missing
+    path = SRC.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [(module, attr) for module, attr, *_ in (*tracing.SPANNED, *tracing.COUNTED)]
+    assert names
+    missing = [
+        f"{module}.{attr}" for module, attr in names
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []
 
 
 # -- where the loss laws' formulas live -------------------------------------------

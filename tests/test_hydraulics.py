@@ -22,7 +22,6 @@ from leakscope import (
     SignedQuadratic,
     SqrtLeak,
     complete_data_point,
-    head_profile,
     isolate_by_consistency,
     measure,
     solve_leaky_state,
@@ -428,33 +427,6 @@ class TestSweep:
         leak = LeakSpec(1, 0.5, PowerLawLeak(C=1.0, beta=0.5, h_y=1000.0))
         with pytest.raises(NoRootError):
             sweep(pipes, leak, [(2.0, 1.0), (3.0, 1.0)])
-
-
-class TestHeadProfile:
-    def test_boundaries(self, example2):
-        pipes, leak = example2
-        state = solve_leaky_state(pipes, leak, 5.0, 1.0)
-        for i in range(1, pipes.n + 1):
-            assert head_profile(state, pipes, leak, i, 0.0) == pytest.approx(5.0)
-            assert head_profile(state, pipes, leak, i, 1.0) == pytest.approx(1.0)
-
-    def test_leak_position(self, example2):
-        pipes, leak = example2
-        state = solve_leaky_state(pipes, leak, 5.0, 1.0)
-        assert head_profile(state, pipes, leak, leak.k, leak.x) == pytest.approx(
-            state.h_leak
-        )
-
-    def test_nonleaking_midpoint(self, example2):
-        pipes, leak = example2
-        state = solve_leaky_state(pipes, leak, 5.0, 1.0)
-        assert head_profile(state, pipes, leak, 2, 0.5) == pytest.approx(5.0 - 2.0)
-
-    def test_out_of_range(self, example2):
-        pipes, leak = example2
-        state = solve_leaky_state(pipes, leak, 5.0, 1.0)
-        with pytest.raises(ValueError):
-            head_profile(state, pipes, leak, 1, 1.5)
 
 
 # -- the forward Newton, through solve_leaky_state and the missing head --------------

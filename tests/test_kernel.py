@@ -27,7 +27,6 @@ from leakscope import (
     SqrtLeak,
     UnboundedDerivativeError,
     all_candidates,
-    apparent_leak_flow,
     apparent_leak_head,
     candidate_position,
     confusion_flow_curve,
@@ -90,7 +89,7 @@ def test_leak_fit_matches_apparent_leak_head_samples(n, per_pipe_h_y):
     h_y = {j: -0.25 * j for j in candidates} if per_pipe_h_y else 0.0
     fits = {
         j: fit_leak_function(
-            [(apparent_leak_head(pipes, j, x_j, d), apparent_leak_flow(d)) for d in data],
+            [(apparent_leak_head(pipes, j, x_j, d), d.q_in - d.q_out) for d in data],
             h_y=h_y[j] if per_pipe_h_y else h_y,
         )
         for j, x_j in sorted(candidates.items())

@@ -37,7 +37,6 @@ from leakscope import (
     residual,
     residual_bar,
     residual_differential,
-    section_resistances,
     solve_leaky_state,
     zero_dh_sensitivity,
 )
@@ -52,11 +51,16 @@ from leakscope.localization import _require_outlet
 EPS = sys.float_info.epsilon
 
 
+def _section_resistances(pipes, i, x_i, d):
+    """Pipe i's section slopes at x_i, as `residual_differential` forms them."""
+    return sensitivity._sections(pipes.pipe(i), x_i, pipes.admittances_excluding(d.dh)[i - 1], d)
+
+
 class TestSectionResistances:
     def test_linear_split(self):
         pipes = PipeSet((Linear(0.1), Linear(0.25)))
         d = DataPoint(3.0, 1.0, 30.0, 25.0)
-        sec = section_resistances(pipes, 2, 0.3, d)
+        sec = _section_resistances(pipes, 2, 0.3, d)
         assert sec.R_in == pytest.approx(0.3 * 0.25)
         assert sec.R_out == pytest.approx(0.7 * 0.25)
         assert sec.R_in + sec.R_out == pytest.approx(pipes.pipe(2).derivative(0.0))
@@ -64,7 +68,7 @@ class TestSectionResistances:
     def test_example2_finite_difference(self, example2):
         pipes, leak = example2
         d = simulate_data(pipes, leak, [(5.0, 1.0)])[0]
-        sec = section_resistances(pipes, 1, 0.65, d)
+        sec = _section_resistances(pipes, 1, 0.65, d)
         G = pipes.admittances_excluding(d.dh)[0]
         U = pipes.pipe(1)
         eps = 1e-6
@@ -80,7 +84,7 @@ class TestSectionResistances:
         pipes, leak = _sublinear_network()
         d = simulate_data(pipes, leak, [(5.0, 1.0)])[0]
         for i in (1, 2, 3):
-            sec = section_resistances(pipes, i, candidate_position(pipes, i, d), d)
+            sec = _section_resistances(pipes, i, candidate_position(pipes, i, d), d)
             assert math.isfinite(sec.R_in) and sec.R_in > 0.0
             assert math.isfinite(sec.R_out) and sec.R_out > 0.0
 
@@ -89,8 +93,8 @@ class TestSectionResistances:
         leak = LeakSpec(1, 0.4, FixedDemand(3.0))
         state = solve_leaky_state(pipes, leak, 2.0, 2.0)
         d = measure(state, pipes, leak)
-        sec1 = section_resistances(pipes, 1, 0.4, d)
-        sec2 = section_resistances(pipes, 2, 0.4, d)
+        sec1 = _section_resistances(pipes, 1, 0.4, d)
+        sec2 = _section_resistances(pipes, 2, 0.4, d)
         assert sec1.ratio == pytest.approx(sec2.ratio, rel=1e-12)
 
     @pytest.mark.parametrize("R_out", [0.0, -0.0, -2.0])
@@ -790,13 +794,13 @@ def _first_order_records():
         d = simulate_data(pipes, leak, [(h_in, h_out)])[0]
         for i in range(1, pipes.n + 1):
             x_i = candidate_position(pipes, i, d)
-            yield f"{name} sections {i}", section_resistances(pipes, i, x_i, d)
+            yield f"{name} sections {i}", _section_resistances(pipes, i, x_i, d)
             yield f"{name} differential {i}", residual_differential(
                 pipes, i, x_i, leak.k, leak.x, d
             )
     pipes, leak, d0 = _zero_dh_network()
     for i, k in ((1, 2), (2, 1)):
-        yield f"zero-dh sections {i}", section_resistances(pipes, i, 0.4, d0)
+        yield f"zero-dh sections {i}", _section_resistances(pipes, i, 0.4, d0)
         yield f"zero-dh differential {i} {k}", residual_differential(
             pipes, i, 0.4, k, 0.4, d0
         )
@@ -882,7 +886,6 @@ def test_hypothesis_indices_are_range_checked(bad):
         lambda: complete_data_point(pipes, bad, 0.4, no_q_out),
         lambda: complete_data_point(pipes, bad, 0.4, no_h_in),
         lambda: apparent_leak_head(pipes, bad, 0.4, d0),
-        lambda: section_resistances(pipes, bad, 0.4, d0),
     ):
         with pytest.raises(IndexError, match=rf"^pipe index {bad} out of range 1\.\.2$"):
             call()

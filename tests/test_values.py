@@ -30,7 +30,6 @@ from leakscope import (
     PowerLawLeak,
     QuadraticPlusLinear,
     Scenario,
-    SectionResistances,
     SignedQuadratic,
     SqrtLeak,
     detect_inherent_ambiguity,
@@ -38,7 +37,7 @@ from leakscope import (
 from leakscope.headloss import Value
 from leakscope.hydraulics import SweepResult
 from leakscope.scenario import AnalysisOptions
-from leakscope.sensitivity import ResidualDifferential, ZeroDhSensitivity
+from leakscope.sensitivity import ResidualDifferential, SectionResistances, ZeroDhSensitivity
 
 SQRT = "PowerLawLeak(C=1.0, beta=0.5, h_y=0.0)"
 POINT = "DataPoint(h_in=3.0, h_out=1.0, q_in=0.5, q_out=0.25)"
